@@ -26,7 +26,7 @@ func runExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, benchScale); err != nil {
+		if err := e.Run(io.Discard, bench.RunConfig{Scale: benchScale}); err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
 	}

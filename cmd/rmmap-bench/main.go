@@ -57,15 +57,11 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file (go tool pprof)")
 	flag.Parse()
-	bench.Workers = *workers
-	bench.CtrlShards = *ctrlShards
-	if *topology != "" {
-		// Validate eagerly so a typo fails before any experiment runs.
-		if _, err := platformbuilder.Resolve(*topology, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "-topology: %v (known recipes: %v)\n", err, platformbuilder.Recipes())
-			return 1
-		}
-		bench.Topology = *topology
+	rc := bench.RunConfig{Scale: *scale, Workers: *workers, CtrlShards: *ctrlShards, Topology: *topology}
+	// Validate eagerly so a typo fails before any experiment runs.
+	if _, _, err := platformbuilder.Resolve(rc.Topology, 0, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "-topology: %v (known recipes: %v)\n", err, platformbuilder.Recipes())
+		return 1
 	}
 
 	if *cpuProfile != "" {
@@ -113,7 +109,7 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "BENCH_fig14.json: %v\n", err)
 			return 1
 		}
-		if err := bench.WriteFig14JSON(f, *scale); err != nil {
+		if err := bench.WriteFig14JSON(f, rc); err != nil {
 			fmt.Fprintf(os.Stderr, "fig14 json: %v\n", err)
 			return 1
 		}
@@ -135,7 +131,7 @@ func run() int {
 		fmt.Printf("=== %s — %s ===\n", e.ID, e.Title)
 		fmt.Printf("expected shape: %s\n\n", e.Expect)
 		start := time.Now()
-		if err := e.Run(os.Stdout, *scale); err != nil {
+		if err := e.Run(os.Stdout, rc); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}

@@ -10,7 +10,7 @@
 //	            [-crash-machine 1 -crash-at 100us] [-plan plan.json]
 //	            [-topology two-rack | -topology topo.json]
 //	            [-requests 1] [-deadline 0] [-replicas 1]
-//	            [-no-replication] [-no-recovery] [-trace]
+//	            [-no-recovery] [-trace]
 //	            [-ctrl-journal ctrl.save]
 //
 // A -plan file replaces the flag-built plan entirely (see
@@ -52,7 +52,6 @@ func main() {
 	maxReexecs := flag.Int("max-reexecs", platform.DefaultMaxReexecutions, "producer re-execution budget per request")
 	degradeAfter := flag.Int("degrade-after", platform.DefaultDegradeAfter, "edge failures before falling back to messaging")
 	replicas := flag.Int("replicas", 0, "backup machines per registration (0: replication off)")
-	noReplication := flag.Bool("no-replication", false, "force replication off even with -replicas set")
 	machines := flag.Int("machines", 4, "cluster size")
 	topology := flag.String("topology", "", "cluster shape: a platformbuilder recipe name or topology JSON file (see PLATFORMS.md); default flat")
 	pods := flag.Int("pods", 16, "warm pods")
@@ -96,39 +95,28 @@ func main() {
 	rec.MaxReexecutions = *maxReexecs
 	rec.DegradeAfter = *degradeAfter
 	opts := platform.Options{
-		Trace:         *trace,
-		Recovery:      rec,
-		Replicas:      *replicas,
-		NoReplication: *noReplication,
-		Workers:       *workers,
-		CtrlShards:    *ctrlShards,
+		Trace:      *trace,
+		Recovery:   rec,
+		Replicas:   *replicas,
+		Workers:    *workers,
+		CtrlShards: *ctrlShards,
 	}
 	if *noRecovery {
 		opts.Recovery = nil
 	}
-	// Both shapes flow through the same builder-backed assembly:
-	// platformbuilder.Flat compiles to the flat spec platform.NewChaosCluster
-	// uses, so the default is byte-identical to the pre-builder binary.
-	shape := *topology
-	if shape == "" {
-		shape = "flat"
-	}
-	b, err := platformbuilder.Resolve(shape, *machines)
+	cfg, _, err := platformbuilder.Resolve(*topology, *machines, *pods)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "-topology: %v (known recipes: %v)\n", err, platformbuilder.Recipes())
 		os.Exit(1)
 	}
-	cluster, err := b.WithChaos(plan, rec.Retry).Build()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cluster: %v\n", err)
-		os.Exit(1)
-	}
-	defer cluster.Close()
-	engine, err := platform.NewEngineOn(cluster, wf, platform.ModeRMMAPPrefetch, opts, *pods)
+	cfg.Chaos, cfg.Retry = &plan, rec.Retry
+	engine, err := platform.NewEngine(wf, platform.ModeRMMAPPrefetch, opts, cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "engine: %v\n", err)
 		os.Exit(1)
 	}
+	cluster := engine.Cluster
+	defer cluster.Close()
 
 	if *planPath != "" {
 		fmt.Printf("plan: %s (seed=%d rules=%d crashes=%d partitions=%d coord-crashes=%d coord-partitions=%d)",
@@ -140,7 +128,7 @@ func main() {
 			fmt.Printf(" crash=machine%d@%v", *crashMachine, simtime.Duration((*crashAt).Nanoseconds()))
 		}
 	}
-	if *replicas > 0 && !*noReplication {
+	if *replicas > 0 {
 		fmt.Printf(" replicas=%d", *replicas)
 	}
 	if *noRecovery {

@@ -31,7 +31,6 @@ import (
 	"rmmap/internal/faults"
 	"rmmap/internal/load"
 	"rmmap/internal/platform"
-	"rmmap/internal/platformbuilder"
 	"rmmap/internal/simtime"
 )
 
@@ -42,7 +41,7 @@ func main() {
 	pods := flag.Int("pods", 16, "warm pods")
 	workers := flag.Int("workers", 0, "engine worker-pool size (0 = all cores); the report is identical at any setting")
 	ctrlShards := flag.Int("ctrl-shards", 0, "consistent-hash coordinator shards (0/1 = single coordinator); the report is identical at any setting")
-	mode := flag.String("mode", "rmmap", "transfer mode: messaging, pocket, rdma, rmmap, prefetch")
+	mode := flag.String("mode", "rmmap", "transfer mode: messaging, pocket, rdma, rmmap, prefetch (or any name platform.ParseMode accepts)")
 	topology := flag.String("topology", "", "cluster shape: a platformbuilder recipe name or topology JSON file (see PLATFORMS.md); default flat")
 
 	rate := flag.Float64("rate", 200, "steady offered load, requests per virtual second")
@@ -118,7 +117,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	m, err := parseMode(*mode)
+	m, err := platform.ParseMode(*mode)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -127,13 +126,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-
-	if *topology != "" {
-		if _, err := platformbuilder.Resolve(*topology, *machines); err != nil {
-			fmt.Fprintf(os.Stderr, "-topology: %v (known recipes: %v)\n", err, platformbuilder.Recipes())
-			os.Exit(1)
-		}
 	}
 
 	spec := load.SoakSpec{
@@ -184,23 +176,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-}
-
-func parseMode(s string) (platform.Mode, error) {
-	switch s {
-	case "messaging":
-		return platform.ModeMessaging, nil
-	case "pocket":
-		return platform.ModeStoragePocket, nil
-	case "rdma":
-		return platform.ModeStorageDrTM, nil
-	case "rmmap":
-		return platform.ModeRMMAP, nil
-	case "prefetch":
-		return platform.ModeRMMAPPrefetch, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want messaging, pocket, rdma, rmmap, prefetch)", s)
 	}
 }
 

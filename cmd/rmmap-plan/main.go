@@ -28,8 +28,8 @@ import (
 	"text/tabwriter"
 
 	"rmmap/internal/ctrl"
+	"rmmap/internal/load"
 	"rmmap/internal/platform"
-	"rmmap/internal/workloads"
 )
 
 func main() {
@@ -46,7 +46,7 @@ func main() {
 		return
 	}
 
-	wf, err := builtinWorkflow(*name)
+	wf, err := load.Workflow(*name, false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -177,19 +177,4 @@ func verifyShardSlots(slots []shardSlot) error {
 		}
 	}
 	return nil
-}
-
-func builtinWorkflow(name string) (*platform.Workflow, error) {
-	switch name {
-	case "finra":
-		return workloads.FINRA(workloads.DefaultFINRA()), nil
-	case "ml-training":
-		return workloads.MLTrain(workloads.DefaultMLTrain()), nil
-	case "ml-prediction":
-		return workloads.MLPredict(workloads.DefaultMLPredict()), nil
-	case "wordcount":
-		return workloads.WordCount(workloads.DefaultWordCount()), nil
-	default:
-		return nil, fmt.Errorf("unknown workflow %q", name)
-	}
 }

@@ -110,24 +110,16 @@ func run(cfg config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(cfg.mode)
+	mode, err := platform.ParseMode(cfg.mode)
 	if err != nil {
 		return err
 	}
 
 	reg := obs.NewRegistry()
 	opts := platform.Options{Trace: true, Obs: reg, CtrlShards: cfg.ctrlShards}
-	clCfg := platform.ClusterConfig{Machines: cfg.machines, Pods: cfg.pods}
-	if cfg.topology != "" {
-		b, err := platformbuilder.Resolve(cfg.topology, cfg.machines)
-		if err != nil {
-			return fmt.Errorf("-topology: %w (known recipes: %v)", err, platformbuilder.Recipes())
-		}
-		spec, err := b.Spec()
-		if err != nil {
-			return err
-		}
-		clCfg.Spec = &spec
+	clCfg, _, err := platformbuilder.Resolve(cfg.topology, cfg.machines, cfg.pods)
+	if err != nil {
+		return fmt.Errorf("-topology: %w (known recipes: %v)", err, platformbuilder.Recipes())
 	}
 	e, err := platform.NewEngine(builder.Build(), mode, opts, clCfg)
 	if err != nil {
@@ -239,28 +231,4 @@ func findWorkload(name string, scale float64) (bench.WorkflowBuilder, error) {
 	}
 	return bench.WorkflowBuilder{}, fmt.Errorf("unknown workload %q; known: %s",
 		name, strings.Join(names, ", "))
-}
-
-// parseMode resolves a transfer mode from its report name or a
-// flag-friendly alias.
-func parseMode(s string) (platform.Mode, error) {
-	alias := map[string]string{
-		"storage-pocket": "storage(pocket)",
-		"storage-rdma":   "storage(rdma)",
-		"storage-drtm":   "storage(rdma)",
-		"rmmap-prefetch": "rmmap(prefetch)",
-	}
-	want := strings.ToLower(s)
-	if a, ok := alias[want]; ok {
-		want = a
-	}
-	var names []string
-	for _, m := range platform.AllModes() {
-		if m.String() == want {
-			return m, nil
-		}
-		names = append(names, m.String())
-	}
-	return 0, fmt.Errorf("unknown mode %q; known: %s (aliases: storage-pocket, storage-rdma, rmmap-prefetch)",
-		s, strings.Join(names, ", "))
 }

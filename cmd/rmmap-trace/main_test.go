@@ -114,25 +114,6 @@ func TestListAndBadFlags(t *testing.T) {
 	}
 }
 
-func TestParseModeAliases(t *testing.T) {
-	for in, want := range map[string]string{
-		"messaging":       "messaging",
-		"storage-pocket":  "storage(pocket)",
-		"storage-rdma":    "storage(rdma)",
-		"rmmap-prefetch":  "rmmap(prefetch)",
-		"rmmap(prefetch)": "rmmap(prefetch)",
-	} {
-		m, err := parseMode(in)
-		if err != nil {
-			t.Errorf("parseMode(%q): %v", in, err)
-			continue
-		}
-		if m.String() != want {
-			t.Errorf("parseMode(%q) = %s, want %s", in, m, want)
-		}
-	}
-}
-
 func mustUnmarshalFile(t *testing.T, path string, v any) {
 	t.Helper()
 	data, err := os.ReadFile(path)

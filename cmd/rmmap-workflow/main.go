@@ -14,54 +14,42 @@ import (
 	"sort"
 	"text/tabwriter"
 
+	"rmmap/internal/load"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
-	"rmmap/internal/workloads"
 )
 
 func main() {
 	name := flag.String("workflow", "finra", "workflow: finra, ml-training, ml-prediction, wordcount")
 	modeName := flag.String("mode", "rmmap-prefetch",
-		"transfer mode: messaging, pocket, drtm, rmmap, rmmap-prefetch")
+		"transfer mode: messaging, pocket, drtm, rmmap, rmmap-prefetch (or any name platform.ParseMode accepts)")
 	small := flag.Bool("small", false, "use the small (test-scale) configuration")
 	requests := flag.Int("requests", 1, "requests to run back to back (warm containers)")
 	trace := flag.Bool("trace", false, "print the per-invocation execution timeline")
 	tcp := flag.Bool("tcp", false, "connect the cluster's machines over real loopback TCP sockets")
 	flag.Parse()
 
-	mode, err := parseMode(*modeName)
+	mode, err := platform.ParseMode(*modeName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	wf, err := buildWorkflow(*name, *small)
+	wf, err := load.Workflow(*name, *small)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
 	cfg := platform.DefaultClusterConfig()
-	var engine *platform.Engine
+	cfg.AllTCP = *tcp
+	engine, err := platform.NewEngine(wf, mode, platform.Options{Trace: *trace}, cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "engine: %v\n", err)
+		os.Exit(1)
+	}
+	defer engine.Cluster.Close()
 	if *tcp {
-		cluster, closeCluster, err := platform.NewClusterTCP(cfg.Machines, simtime.DefaultCostModel())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcp cluster: %v\n", err)
-			os.Exit(1)
-		}
-		defer closeCluster()
-		engine, err = platform.NewEngineOn(cluster, wf, mode, platform.Options{Trace: *trace}, cfg.Pods)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine: %v\n", err)
-			os.Exit(1)
-		}
 		fmt.Printf("cluster: %d machines over real TCP sockets\n", cfg.Machines)
-	} else {
-		var err error
-		engine, err = platform.NewEngine(wf, mode, platform.Options{Trace: *trace}, cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine: %v\n", err)
-			os.Exit(1)
-		}
 	}
 	for r := 0; r < *requests; r++ {
 		var res platform.RunResult
@@ -94,53 +82,5 @@ func main() {
 			fmt.Println("  execution timeline:")
 			platform.WriteTrace(os.Stdout, res.Trace)
 		}
-	}
-}
-
-func parseMode(s string) (platform.Mode, error) {
-	switch s {
-	case "messaging":
-		return platform.ModeMessaging, nil
-	case "pocket":
-		return platform.ModeStoragePocket, nil
-	case "drtm":
-		return platform.ModeStorageDrTM, nil
-	case "rmmap":
-		return platform.ModeRMMAP, nil
-	case "rmmap-prefetch":
-		return platform.ModeRMMAPPrefetch, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
-	}
-}
-
-func buildWorkflow(name string, small bool) (*platform.Workflow, error) {
-	switch name {
-	case "finra":
-		cfg := workloads.DefaultFINRA()
-		if small {
-			cfg = workloads.SmallFINRA()
-		}
-		return workloads.FINRA(cfg), nil
-	case "ml-training":
-		cfg := workloads.DefaultMLTrain()
-		if small {
-			cfg = workloads.SmallMLTrain()
-		}
-		return workloads.MLTrain(cfg), nil
-	case "ml-prediction":
-		cfg := workloads.DefaultMLPredict()
-		if small {
-			cfg = workloads.SmallMLPredict()
-		}
-		return workloads.MLPredict(cfg), nil
-	case "wordcount":
-		cfg := workloads.DefaultWordCount()
-		if small {
-			cfg = workloads.SmallWordCount()
-		}
-		return workloads.WordCount(cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown workflow %q", name)
 	}
 }

@@ -21,22 +21,22 @@ func init() {
 
 // runAblAdaptive compares prefetch policies per data type on the micro
 // rig: always traverse, never prefetch, adaptive sampling.
-func runAblAdaptive(w io.Writer, scale float64) error {
+func runAblAdaptive(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
 	types := []struct {
 		name  string
 		build func(rt *objrt.Runtime) (objrt.Obj, error)
 	}{
 		{"ndarray", func(rt *objrt.Runtime) (objrt.Obj, error) {
-			n := scaleInt(500000, scale)
+			n := scaleInt(500000, rc.Scale)
 			return rt.NewNDArray([]int{n}, make([]float64, n))
 		}},
 		{"str", func(rt *objrt.Runtime) (objrt.Obj, error) {
-			n := scaleInt(4<<20, scale)
+			n := scaleInt(4<<20, rc.Scale)
 			return rt.NewStr(string(make([]byte, n)))
 		}},
 		{"list(int)", func(rt *objrt.Runtime) (objrt.Obj, error) {
-			return rt.NewIntList(make([]int64, scaleInt(100000, scale)))
+			return rt.NewIntList(make([]int64, scaleInt(100000, rc.Scale)))
 		}},
 	}
 

@@ -21,9 +21,9 @@ func init() {
 
 // runAblArrow transfers a trades dataframe over the same storage(rdma)
 // channel with three object-exchange mechanisms.
-func runAblArrow(w io.Writer, scale float64) error {
+func runAblArrow(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	rows := scaleInt(16000, scale)
+	rows := scaleInt(16000, rc.Scale)
 	t := newTable(w, "mechanism", "T(transform)", "N(channel)", "R(reconstruct)", "E2E", "wire")
 
 	// Pickle over storage(rdma) and rmap via the shared micro rig. Both

@@ -7,7 +7,6 @@ import (
 	"text/tabwriter"
 
 	"rmmap/internal/platform"
-	"rmmap/internal/simtime"
 )
 
 // Experiment is one reproducible figure/table.
@@ -18,28 +17,37 @@ type Experiment struct {
 	Title string
 	// Expect is the acceptance shape from the paper.
 	Expect string
-	// Run executes the experiment, writing its table to w. scale in
-	// (0, 1] shrinks payload sizes for quick runs; 1 is the calibrated
-	// default documented in EXPERIMENTS.md.
-	Run func(w io.Writer, scale float64) error
+	// Run executes the experiment under cfg, writing its table to w.
+	Run func(w io.Writer, cfg RunConfig) error
 }
 
-// Workers is the engine worker-pool size every experiment runs with
-// (Options.Workers): 0 uses every core (GOMAXPROCS), 1 is the sequential
-// reference; rmmap-bench -workers overrides it. Results are byte-identical
-// at any setting — workers change wall-clock time only (DESIGN.md §10).
-var Workers = 0
+// RunConfig is what every experiment and collector runs under — the
+// rmmap-bench flags. Every engine an experiment builds starts from
+// Options(), so the arms of one ablation never differ in engine config.
+type RunConfig struct {
+	// Scale in (0, 1] shrinks payload sizes for quick runs; 1 is the
+	// calibrated default documented in EXPERIMENTS.md.
+	Scale float64
+	// Workers is the engine worker-pool size (Options.Workers): 0 uses
+	// every core (GOMAXPROCS), 1 is the sequential reference. Results are
+	// byte-identical at any setting — workers change wall-clock time only
+	// (DESIGN.md §10).
+	Workers int
+	// CtrlShards is the control-plane shard count (Options.CtrlShards):
+	// 0/1 is the single journaled coordinator. Like Workers, results are
+	// byte-identical at any setting (DESIGN.md §15) — only the
+	// rmmap_ctrl_* journal counters reflect the per-shard streams.
+	CtrlShards int
+	// Topology selects the cluster shape the Fig-14 JSON grid and the
+	// fan-out ablation run on: "" is the classic flat cluster, anything
+	// else a platformbuilder recipe name or topology JSON path.
+	// abl-topology ignores it — that experiment sweeps shapes itself.
+	Topology string
+}
 
-// CtrlShards is the control-plane shard count every experiment's engine
-// runs with (Options.CtrlShards): 0/1 is the single journaled coordinator;
-// rmmap-bench -ctrl-shards overrides it. Like Workers, results are
-// byte-identical at any setting (DESIGN.md §15) — only the rmmap_ctrl_*
-// journal counters reflect the per-shard streams.
-var CtrlShards = 0
-
-// benchOptions returns the Options experiments construct engines with.
-func benchOptions() platform.Options {
-	return platform.Options{Workers: Workers, CtrlShards: CtrlShards}
+// Options returns the engine options every experiment starts from.
+func (c RunConfig) Options() platform.Options {
+	return platform.Options{Workers: c.Workers, CtrlShards: c.CtrlShards}
 }
 
 var registry []Experiment
@@ -132,9 +140,3 @@ func speedup(base, new float64) string {
 	}
 	return fmt.Sprintf("%.2fx", base/new)
 }
-
-// computeCat is a shorthand for the compute category.
-func computeCat() simtime.Category { return simtime.CatCompute }
-
-// defaultCM is a shorthand used by tests.
-func defaultCM() *simtime.CostModel { return simtime.DefaultCostModel() }

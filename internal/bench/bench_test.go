@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"rmmap/internal/simtime"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -52,7 +54,7 @@ func TestExperimentsRunTiny(t *testing.T) {
 				t.Skip("fig12 runs thousands of requests; skipped under -short")
 			}
 			var buf bytes.Buffer
-			if err := e.Run(&buf, 0.02); err != nil {
+			if err := e.Run(&buf, RunConfig{Scale: 0.02}); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
 			out := buf.String()
@@ -66,7 +68,7 @@ func TestExperimentsRunTiny(t *testing.T) {
 func TestMicroRigTransferMatchesApproaches(t *testing.T) {
 	// A direct check of the Fig 11 rig: same object, five approaches,
 	// stage charges land in the right buckets.
-	rig, err := newMicroRig(defaultCM())
+	rig, err := newMicroRig(simtime.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func TestMicroRigTransferMatchesApproaches(t *testing.T) {
 	if msg.T == 0 || msg.N == 0 || msg.R == 0 || msg.Wire == 0 {
 		t.Errorf("messaging stages: %+v", msg)
 	}
-	rig2, err := newMicroRig(defaultCM())
+	rig2, err := newMicroRig(simtime.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestMicroRigTransferMatchesApproaches(t *testing.T) {
 }
 
 func TestChecksumCoversAllTypes(t *testing.T) {
-	rig, err := newMicroRig(defaultCM())
+	rig, err := newMicroRig(simtime.DefaultCostModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,14 @@ func init() {
 	})
 }
 
-func runAblCompress(w io.Writer, scale float64) error {
+func runAblCompress(w io.Writer, rc RunConfig) error {
 	cfg := workloads.DefaultWordCount()
-	cfg.BookBytes = scaleInt(cfg.BookBytes, scale)
+	cfg.BookBytes = scaleInt(cfg.BookBytes, rc.Scale)
 	t := newTable(w, "variant", "latency", "ser+des (incl. codec)", "network")
+	opts := rc.Options()
 	for _, compress := range []bool{false, true} {
-		e, err := platform.NewEngine(workloads.WordCount(cfg), platform.ModeMessaging,
-			platform.Options{Compress: compress}, benchCluster())
+		opts.Compress = compress
+		e, err := platform.NewEngine(workloads.WordCount(cfg), platform.ModeMessaging, opts, platform.DefaultClusterConfig())
 		if err != nil {
 			return err
 		}

@@ -72,11 +72,11 @@ func ctrlMix(x uint64) uint64 {
 // shard count: seed a live directory (untimed), then time register/release
 // churn and plan issuance. Worker w owns shards s with s%W == w, so
 // parallel workers touch disjoint shard journals.
-func CollectCtrlRate(shardCounts []int, scale float64) (CtrlRateReport, error) {
-	rep := CtrlRateReport{LiveRegs: scaleInt(ctrlRateLive, scale)}
-	live := scaleInt(ctrlRateLive, scale)
-	churn := scaleInt(ctrlRateChurn, scale)
-	plans := scaleInt(ctrlRatePlans, scale)
+func CollectCtrlRate(rc RunConfig, shardCounts []int) (CtrlRateReport, error) {
+	live := scaleInt(ctrlRateLive, rc.Scale)
+	churn := scaleInt(ctrlRateChurn, rc.Scale)
+	plans := scaleInt(ctrlRatePlans, rc.Scale)
+	rep := CtrlRateReport{LiveRegs: live}
 
 	var single, best float64
 	for _, shards := range shardCounts {
@@ -195,8 +195,8 @@ func init() {
 		Title: "Sharded control plane: metadata throughput vs. shard count",
 		Expect: "registrations/s grows with shard count — snapshot compaction " +
 			"is O(live/N) per shard, so 16 shards clear >= 3x the single-shard rate",
-		Run: func(w io.Writer, scale float64) error {
-			rep, err := CollectCtrlRate([]int{1, 4, 16}, scale)
+		Run: func(w io.Writer, rc RunConfig) error {
+			rep, err := CollectCtrlRate(rc, []int{1, 4, 16})
 			if err != nil {
 				return err
 			}

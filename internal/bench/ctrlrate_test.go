@@ -9,7 +9,7 @@ import (
 // Small-scale smoke: the harness runs, keeps the live set intact, and
 // reports sane rows at both shard counts.
 func TestCollectCtrlRateSmoke(t *testing.T) {
-	rep, err := CollectCtrlRate([]int{1, 4}, 0.02)
+	rep, err := CollectCtrlRate(RunConfig{Scale: 0.02}, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCtrlRateExperimentRegistered(t *testing.T) {
 	if !ok {
 		t.Fatal("abl-ctrl experiment not registered")
 	}
-	if err := e.Run(io.Discard, 0.02); err != nil {
+	if err := e.Run(io.Discard, RunConfig{Scale: 0.02}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,7 +51,7 @@ func TestCtrlThroughputGuard(t *testing.T) {
 	if os.Getenv("RMMAP_CTRL_GUARD") == "" {
 		t.Skip("set RMMAP_CTRL_GUARD=1 to run the wall-clock throughput guard")
 	}
-	rep, err := CollectCtrlRate([]int{1, 16}, 1.0)
+	rep, err := CollectCtrlRate(RunConfig{Scale: 1.0}, []int{1, 16})
 	if err != nil {
 		t.Fatal(err)
 	}

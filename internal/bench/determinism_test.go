@@ -80,7 +80,7 @@ func runFig14Cell(t *testing.T, builder WorkflowBuilder, mode platform.Mode, wor
 	t.Helper()
 	reg := obs.NewRegistry()
 	e, err := platform.NewEngine(builder.Build(), mode,
-		platform.Options{Trace: true, Obs: reg, Workers: workers}, benchCluster())
+		platform.Options{Trace: true, Obs: reg, Workers: workers}, platform.DefaultClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +141,13 @@ func runHighContentionCell(t *testing.T, workers int) runArtifacts {
 	cfg.Images = 75
 	cfg.Trees = 16
 	reg := obs.NewRegistry()
+	cluster := platform.DefaultClusterConfig()
+	// 2 pages per machine: far below the model + image working set, so
+	// admissions continuously evict (the seeded runs pin evictions > 0
+	// below).
+	cluster.PageCacheBytes = 2 * 4096
 	e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch,
-		platform.Options{
-			Trace:   true,
-			Obs:     reg,
-			Workers: workers,
-			// 2 pages per machine: far below the model + image working
-			// set, so admissions continuously evict (the seeded runs pin
-			// evictions > 0 below).
-			PageCacheBytes: 2 * 4096,
-		}, benchCluster())
+		platform.Options{Trace: true, Obs: reg, Workers: workers}, cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +232,8 @@ func runChaosScenario(t *testing.T, sc chaosScenario, workers int) runArtifacts 
 	opts.Workers = workers
 	reg := obs.NewRegistry()
 	opts.Obs = reg
-	cluster := platform.NewChaosCluster(4, simtime.DefaultCostModel(), plan, opts.Recovery.Retry)
-	e, err := platform.NewEngineOn(cluster, workloads.FINRA(workloads.SmallFINRA()),
-		platform.ModeRMMAPPrefetch, opts, 16)
+	e, err := platform.NewEngine(workloads.FINRA(workloads.SmallFINRA()), platform.ModeRMMAPPrefetch, opts,
+		platform.ClusterConfig{Machines: 4, Pods: 16, Chaos: &plan, Retry: opts.Recovery.Retry})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +255,7 @@ func runChaosScenario(t *testing.T, sc chaosScenario, workers int) runArtifacts 
 		"fallbacks":     res.Fallbacks,
 		"reexecs":       res.Reexecs,
 		"waits":         res.PartitionWaits,
-		"injected":      cluster.Injector.Total(),
+		"injected":      e.Cluster.Injector.Total(),
 		"output":        fmt.Sprint(res.Output),
 		"ctrl_epoch":    e.Coordinator().Epoch(),
 		"ctrl_appends":  cs.Appends,
@@ -306,9 +302,8 @@ func runShardedCtrlCell(t *testing.T, shards, workers int, plan faults.Plan) (ru
 		Trace: true, Obs: reg, Recovery: rec,
 		Workers: workers, CtrlShards: shards,
 	}
-	cluster := platform.NewChaosCluster(4, simtime.DefaultCostModel(), plan, rec.Retry)
-	e, err := platform.NewEngineOn(cluster, workloads.FINRA(workloads.SmallFINRA()),
-		platform.ModeRMMAPPrefetch, opts, 16)
+	e, err := platform.NewEngine(workloads.FINRA(workloads.SmallFINRA()), platform.ModeRMMAPPrefetch, opts,
+		platform.ClusterConfig{Machines: 4, Pods: 16, Chaos: &plan, Retry: rec.Retry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,4 +16,7 @@
 //     RunResult field names to canonical rmmap_* metric names.
 //   - Scaling down (the -scale flag) shrinks inputs, never skips pipeline
 //     stages, so CI smoke runs cover the same code paths as full runs.
+//   - Every engine an experiment builds starts from RunConfig.Options(),
+//     so rmmap-bench's -workers and -ctrl-shards reach every arm of every
+//     ablation (TestNoOptionsLiteralBypassesRunConfig checks the source).
 package bench

@@ -32,18 +32,18 @@ type FailoverRow struct {
 
 // runFailoverArm executes one recovery arm on a fresh chaos cluster.
 func runFailoverArm(build func() *platform.Workflow, plan faults.Plan, opts platform.Options) (platform.RunResult, int64, error) {
-	cfg := benchCluster()
-	retry := faults.DefaultRetryPolicy()
+	cfg := platform.DefaultClusterConfig()
+	cfg.Chaos = &plan
+	cfg.Retry = faults.DefaultRetryPolicy()
 	if opts.Recovery != nil {
-		retry = opts.Recovery.Retry
+		cfg.Retry = opts.Recovery.Retry
 	}
-	cl := platform.NewChaosCluster(cfg.Machines, simtime.DefaultCostModel(), plan, retry)
-	e, err := platform.NewEngineOn(cl, build(), platform.ModeRMMAPPrefetch, opts, cfg.Pods)
+	e, err := platform.NewEngine(build(), platform.ModeRMMAPPrefetch, opts, cfg)
 	if err != nil {
 		return platform.RunResult{}, 0, err
 	}
 	res, err := e.Run()
-	_, _, _, bytesRead := cl.Fabric.Stats()
+	_, _, _, bytesRead := e.Cluster.Fabric.Stats()
 	return res, bytesRead, err
 }
 
@@ -52,15 +52,15 @@ func runFailoverArm(build func() *platform.Workflow, plan faults.Plan, opts plat
 // producer re-execution, plus a persistent-fault arm that degrades the
 // poisoned edges to messaging. Per-workflow failures are recorded in the
 // row, not fatal — small -scale runs can starve individual arms.
-func CollectFailover(scale float64) []FailoverRow {
+func CollectFailover(rc RunConfig) []FailoverRow {
 	var rows []FailoverRow
-	for _, wfb := range wfBuilders(scale) {
-		rows = append(rows, collectFailoverWorkflow(wfb.Name, wfb.Build)...)
+	for _, wfb := range Workflows(rc.Scale) {
+		rows = append(rows, collectFailoverWorkflow(rc, wfb.Name, wfb.Build)...)
 	}
 	return rows
 }
 
-func collectFailoverWorkflow(name string, build func() *platform.Workflow) []FailoverRow {
+func collectFailoverWorkflow(rc RunConfig, name string, build func() *platform.Workflow) []FailoverRow {
 	fail := func(arm string, err error) []FailoverRow {
 		return []FailoverRow{{Workflow: name, Arm: arm, Error: err.Error()}}
 	}
@@ -68,7 +68,18 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 	// machine hosting the workflow's first producer and when it finishes.
 	rec := platform.DefaultRecoveryPolicy()
 	rec.MaxReexecutions = 64
-	cleanOpts := platform.Options{Trace: true, Recovery: rec, Replicas: 1}
+	reexec := rc.Options() // Replicas: 0 — recovery by re-execution alone
+	reexec.Recovery = rec
+	failover := reexec
+	failover.Replicas = 1
+	cleanOpts := failover
+	cleanOpts.Trace = true
+	degrade := rc.Options()
+	degrade.Recovery = &platform.RecoveryPolicy{
+		Retry:           faults.DefaultRetryPolicy(),
+		MaxReexecutions: 64,
+		DegradeAfter:    1,
+	}
 	clean, _, err := runFailoverArm(build, faults.Plan{Seed: ablFailoverSeed}, cleanOpts)
 	if err != nil {
 		return fail("clean", err)
@@ -96,22 +107,15 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 		plan faults.Plan
 		opts platform.Options
 	}{
-		{"failover", crash, platform.Options{Recovery: rec, Replicas: 1}},
-		{"reexec", crash, platform.Options{Recovery: rec, NoReplication: true}},
+		{"failover", crash, failover},
+		{"reexec", crash, reexec},
 		{"degrade", faults.Plan{
 			Seed: ablFailoverSeed,
 			Rules: []faults.Rule{{
 				Site: faults.SiteRPC, Endpoint: "rmmap.auth",
 				Target: memsim.MachineID(prod.Machine), Prob: 1.0, After: crashAt,
 			}},
-		}, platform.Options{
-			Recovery: &platform.RecoveryPolicy{
-				Retry:           faults.DefaultRetryPolicy(),
-				MaxReexecutions: 64,
-				DegradeAfter:    1,
-			},
-			NoReplication: true,
-		}},
+		}, degrade},
 	}
 	rows := make([]FailoverRow, 0, len(arms))
 	for _, arm := range arms {
@@ -136,9 +140,9 @@ func collectFailoverWorkflow(name string, build func() *platform.Workflow) []Fai
 }
 
 // runAblFailover renders the failover ablation as a table.
-func runAblFailover(w io.Writer, scale float64) error {
+func runAblFailover(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "workflow", "arm", "latency", "clean", "failovers", "reexecs", "fallbacks", "fabric-bytes", "replicated", "error")
-	for _, r := range CollectFailover(scale) {
+	for _, r := range CollectFailover(rc) {
 		t.row(r.Workflow, r.Arm, simtime.Duration(r.LatencyNs), simtime.Duration(r.CleanLatencyNs),
 			r.Failovers, r.Reexecs, r.Fallbacks, r.FabricBytesRead, r.ReplicatedBytes, r.Error)
 	}

@@ -7,20 +7,15 @@ import (
 	"rmmap/internal/memsim"
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
+	"rmmap/internal/platformbuilder"
 )
 
-// fanoutWorkflow pins one page-dense producer to machine 0 and width
-// consumers to machine 1 — the fan-out shape where the machine-level
-// remote page cache pays off: without it every co-located consumer
-// refetches the producer's whole state over the fabric.
-func fanoutWorkflow(width, elems int) *platform.Workflow {
-	return topoFanout(0, 1, width, elems)
-}
-
-// topoFanout is fanoutWorkflow with parameterized pins: the producer goes
-// on machine producer, the consumers on machine consumer — or wherever the
-// engine's placement policy puts them when consumer < 0 (the abl-topology
-// placement-policy legs).
+// topoFanout pins one page-dense producer to machine producer and width
+// consumers to machine consumer — the fan-out shape where the
+// machine-level remote page cache pays off: without it every co-located
+// consumer refetches the producer's whole state over the fabric. With
+// consumer < 0 the engine's placement policy places the consumers (the
+// abl-topology placement-policy legs).
 func topoFanout(producer, consumer, width, elems int) *platform.Workflow {
 	var consumerPin *int
 	if consumer >= 0 {
@@ -85,25 +80,27 @@ func topoFanout(producer, consumer, width, elems int) *platform.Workflow {
 
 // runAblFanout ablates the remote page cache and the fault-coalescing
 // readahead independently on the pinned 1→8 fan-out.
-func runAblFanout(w io.Writer, scale float64) error {
+func runAblFanout(w io.Writer, rc RunConfig) error {
 	const width = 8
-	elems := scaleInt(65536, scale)
+	elems := scaleInt(65536, rc.Scale)
 	grid := []struct {
-		label string
-		opts  platform.Options
+		label          string
+		cacheBytes     int64
+		readaheadPages int
 	}{
-		{"on/on", benchOptions()},
-		{"on/off", platform.Options{NoReadahead: true}},
-		{"off/on", platform.Options{NoPageCache: true}},
-		{"off/off", platform.Options{NoPageCache: true, NoReadahead: true}},
+		{"on/on", 0, 0},
+		{"on/off", 0, -1},
+		{"off/on", -1, 0},
+		{"off/off", -1, -1},
 	}
 	t := newTable(w, "cache/readahead", "latency", "fabric-pages", "roundtrips", "hits", "hit-rate", "ra-pages")
 	for _, g := range grid {
-		cl, _, err := topoCluster(2)
+		cfg, _, err := platformbuilder.Resolve(rc.Topology, 2, 4+2*width)
 		if err != nil {
 			return err
 		}
-		e, err := platform.NewEngineOn(cl, fanoutWorkflow(width, elems), platform.ModeRMMAP, g.opts, 4+2*width)
+		cfg.PageCacheBytes, cfg.ReadaheadWindow = g.cacheBytes, g.readaheadPages
+		e, err := platform.NewEngine(topoFanout(0, 1, width, elems), platform.ModeRMMAP, rc.Options(), cfg)
 		if err != nil {
 			return err
 		}
@@ -111,7 +108,7 @@ func runAblFanout(w io.Writer, scale float64) error {
 		if err != nil {
 			return fmt.Errorf("abl-fanout %s: %w", g.label, err)
 		}
-		reads, batches, _, bytesRead := cl.Fabric.Stats()
+		reads, batches, _, bytesRead := e.Cluster.Fabric.Stats()
 		t.row(g.label, res.Latency, bytesRead/memsim.PageSize, reads+batches,
 			res.Cache.Hits, pct(res.Cache.HitRate(), 1), res.Cache.ReadaheadPages)
 	}

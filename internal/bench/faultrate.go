@@ -43,9 +43,10 @@ const (
 )
 
 // CollectFaultRate measures wall-clock fault throughput with the given
-// number of consumer machines, each handling pagesPerWorker faults against
-// one shared producer.
-func CollectFaultRate(workers, pagesPerWorker int) (FaultRateReport, error) {
+// number of consumer machines, each handling 4096 faults (scaled by
+// rc.Scale) against one shared producer.
+func CollectFaultRate(rc RunConfig, workers int) (FaultRateReport, error) {
+	pagesPerWorker := scaleInt(4096, rc.Scale)
 	rep := FaultRateReport{
 		Workers: workers,
 		Cores:   min(workers, runtime.GOMAXPROCS(0)),

@@ -6,6 +6,7 @@ import (
 
 	"rmmap/internal/obs"
 	"rmmap/internal/platform"
+	"rmmap/internal/platformbuilder"
 	"rmmap/internal/simtime"
 )
 
@@ -60,22 +61,22 @@ type Fig14Report struct {
 }
 
 // CollectFig14 reruns the Fig 14 grid (every evaluated workflow × every
-// transfer mode) on fresh clusters, capturing fabric and cache counters
-// alongside latency.
-func CollectFig14(scale float64) (Fig14Report, error) {
-	rep := Fig14Report{Scale: scale}
-	cfg := benchCluster()
-	for _, wfb := range wfBuilders(scale) {
+// transfer mode) on fresh clusters of rc's topology, capturing fabric and
+// cache counters alongside latency.
+func CollectFig14(rc RunConfig) (Fig14Report, error) {
+	rep := Fig14Report{Scale: rc.Scale}
+	flat := platform.DefaultClusterConfig()
+	for _, wfb := range Workflows(rc.Scale) {
 		for _, mode := range platform.AllModes() {
-			cl, topoName, err := topoCluster(cfg.Machines)
+			cfg, topoName, err := platformbuilder.Resolve(rc.Topology, flat.Machines, flat.Pods)
 			if err != nil {
 				return rep, err
 			}
-			e, err := platform.NewEngineOn(cl, wfb.Build(), mode, benchOptions(), cfg.Pods)
+			e, err := platform.NewEngine(wfb.Build(), mode, rc.Options(), cfg)
 			if err != nil {
-				cl.Close()
 				return rep, err
 			}
+			cl := e.Cluster
 			res, err := e.Run()
 			if err != nil {
 				cl.Close()
@@ -104,18 +105,18 @@ func CollectFig14(scale float64) (Fig14Report, error) {
 			cl.Close()
 		}
 	}
-	rep.Failover = CollectFailover(scale)
-	topoRows, err := CollectTopology(scale)
+	rep.Failover = CollectFailover(rc)
+	topoRows, err := CollectTopology(rc)
 	if err != nil {
 		return rep, err
 	}
 	rep.Topology = topoRows
-	ol, err := CollectOpenLoop(scale, []int{1, 8})
+	ol, err := CollectOpenLoop(rc, []int{1, 8})
 	if err != nil {
 		return rep, err
 	}
 	rep.OpenLoop = &ol
-	cr, err := CollectCtrlRate([]int{1, 16}, scale)
+	cr, err := CollectCtrlRate(rc, []int{1, 16})
 	if err != nil {
 		return rep, err
 	}
@@ -125,8 +126,8 @@ func CollectFig14(scale float64) (Fig14Report, error) {
 }
 
 // WriteFig14JSON collects the Fig 14 grid and writes it as indented JSON.
-func WriteFig14JSON(w io.Writer, scale float64) error {
-	rep, err := CollectFig14(scale)
+func WriteFig14JSON(w io.Writer, rc RunConfig) error {
+	rep, err := CollectFig14(rc)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,9 @@ func init() {
 	})
 }
 
-func runAblFork(w io.Writer, scale float64) error {
+func runAblFork(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	n := scaleInt(50000, scale)
+	n := scaleInt(50000, rc.Scale)
 
 	// Shared cluster: two producers (same image layout) and one consumer.
 	fabric := rdma.NewSimFabric(cm)

@@ -5,6 +5,7 @@ import (
 
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
+	"rmmap/internal/simtime"
 )
 
 func init() {
@@ -42,13 +43,15 @@ func cascadeWorkflow(n int) *platform.Workflow {
 	}
 }
 
-func runAblForward(w io.Writer, scale float64) error {
+func runAblForward(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "entries", "cascade", "latency", "total work", "B compute (copy)")
 	for _, n := range []int{10000, 100000} {
-		n = scaleInt(n, scale)
+		n = scaleInt(n, rc.Scale)
 		for _, forward := range []bool{false, true} {
+			opts := rc.Options()
+			opts.ForwardRemote = forward
 			e, err := platform.NewEngine(cascadeWorkflow(n), platform.ModeRMMAPPrefetch,
-				platform.Options{ForwardRemote: forward}, platform.ClusterConfig{Machines: 3, Pods: 6})
+				opts, platform.ClusterConfig{Machines: 3, Pods: 6})
 			if err != nil {
 				return err
 			}
@@ -61,7 +64,7 @@ func runAblForward(w io.Writer, scale float64) error {
 				name = "forward (multi-hop map)"
 			}
 			t.row(n, name, res.Latency, res.Meter.Total(),
-				res.PerFunction["B"].Get(computeCat()))
+				res.PerFunction["B"].Get(simtime.CatCompute))
 		}
 	}
 	t.flush()

@@ -415,9 +415,9 @@ func init() {
 	})
 }
 
-func runFig11a(w io.Writer, scale float64) error {
+func runFig11a(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "type", "approach", "T", "N", "R", "E2E", "wire", "faults", "vs messaging")
-	for _, typ := range microTypes(scale) {
+	for _, typ := range microTypes(rc.Scale) {
 		var base xfer
 		for ap := approach(0); ap < numApproaches; ap++ {
 			rig, err := newMicroRig(simtime.DefaultCostModel())
@@ -443,11 +443,11 @@ func runFig11a(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig11b(w io.Writer, scale float64) error {
+func runFig11b(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "entries", "payload", "approach", "E2E", "vs storage(rdma)")
 	sweeps := []int{8, 128, 2048, 32768, 262144}
 	for _, n := range sweeps {
-		n = scaleInt(n, scale)
+		n = scaleInt(n, rc.Scale)
 		results := make(map[approach]xfer, numApproaches)
 		for ap := approach(0); ap < numApproaches; ap++ {
 			rig, err := newMicroRig(simtime.DefaultCostModel())
@@ -477,11 +477,11 @@ func runFig11b(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig15(w io.Writer, scale float64) error {
+func runFig15(w io.Writer, rc RunConfig) error {
 	// The PCA→train state: a features matrix dataframe. Every factor
 	// includes the consuming function's read compute (as the paper's
 	// factor analysis factors out training but keeps the state read).
-	rows := scaleInt(8000, scale)
+	rows := scaleInt(8000, rc.Scale)
 	dim := 16
 	stateBytes := rows * dim * 8
 	build := func(rt *objrt.Runtime) (objrt.Obj, error) {

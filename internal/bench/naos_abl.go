@@ -13,11 +13,11 @@ import (
 
 // runFig16b compares RMMAP against Naos on the Fig 16b microbenchmark: a
 // Java map of (Integer → char[5]) pairs, swept over entry counts.
-func runFig16b(w io.Writer, scale float64) error {
+func runFig16b(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
 	t := newTable(w, "entries", "naos", "rmmap", "rmmap advantage")
 	for _, n := range []int{1000, 10000, 50000} {
-		n = scaleInt(n, scale)
+		n = scaleInt(n, rc.Scale)
 		// Naos path.
 		rig, err := newMicroRig(cm)
 		if err != nil {
@@ -99,9 +99,9 @@ func init() {
 }
 
 // runAblPrefetch sweeps the traversal threshold on a list(int).
-func runAblPrefetch(w io.Writer, scale float64) error {
+func runAblPrefetch(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	n := scaleInt(100000, scale)
+	n := scaleInt(100000, rc.Scale)
 	t := newTable(w, "threshold", "traversed", "prefetched-pages", "T", "N", "E2E", "faults")
 	for _, thr := range []int{0, 100, 1000, 10000} {
 		rig, err := newMicroRig(cm)
@@ -148,9 +148,9 @@ func runAblPrefetch(w io.Writer, scale float64) error {
 
 // runAblBatch compares doorbell-batched prefetch against per-fault reads
 // for a page-dense ndarray.
-func runAblBatch(w io.Writer, scale float64) error {
+func runAblBatch(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	n := scaleInt(500000, scale)
+	n := scaleInt(500000, rc.Scale)
 	t := newTable(w, "mode", "pages", "N", "faults")
 	for _, batched := range []bool{true, false} {
 		rig, err := newMicroRig(cm)
@@ -180,9 +180,9 @@ func runAblBatch(w io.Writer, scale float64) error {
 }
 
 // runAblConn compares QP-establishment paths.
-func runAblConn(w io.Writer, scale float64) error {
+func runAblConn(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	n := scaleInt(50000, scale)
+	n := scaleInt(50000, rc.Scale)
 	t := newTable(w, "connect path", "first-transfer E2E", "steady-state E2E")
 	for _, mode := range []rdma.ConnectMode{rdma.ConnectKernel, rdma.ConnectUser} {
 		rig, err := newMicroRig(cm)
@@ -216,9 +216,9 @@ func runAblConn(w io.Writer, scale float64) error {
 }
 
 // runAblScope compares register scopes with a library-heavy producer.
-func runAblScope(w io.Writer, scale float64) error {
+func runAblScope(w io.Writer, rc RunConfig) error {
 	cm := simtime.DefaultCostModel()
-	n := scaleInt(50000, scale)
+	n := scaleInt(50000, rc.Scale)
 	textPages := 4096 // a 16 MB resident library footprint
 	t := newTable(w, "scope", "registered-pages", "T(register)", "note")
 	for _, whole := range []bool{false, true} {

@@ -36,7 +36,7 @@ func fig14GoldenRun(t *testing.T) (platform.RunResult, *obs.Registry) {
 	}
 	reg := obs.NewRegistry()
 	e, err := platform.NewEngine(builder.Build(), platform.ModeRMMAPPrefetch,
-		platform.Options{Trace: true, Obs: reg}, benchCluster())
+		platform.Options{Trace: true, Obs: reg}, platform.DefaultClusterConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestProfileGoldenFig14(t *testing.T) {
 // BENCH_fig14.json: every row carries a nonempty per-category virtual-time
 // breakdown consistent with its latency, and the alias table is present.
 func TestFig14JSONHasBreakdown(t *testing.T) {
-	rep, err := CollectFig14(goldenScale)
+	rep, err := CollectFig14(RunConfig{Scale: goldenScale})
 	if err != nil {
 		t.Fatal(err)
 	}

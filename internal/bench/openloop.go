@@ -63,11 +63,12 @@ func openLoopConfig(scale float64) (cfg workloads.MLPredictConfig, rate float64,
 
 // runOpenLoopCell runs the open-loop benchmark once and reports the load
 // result plus the host wall-clock time it took.
-func runOpenLoopCell(scale float64, workers int) (platform.LoadResult, time.Duration, error) {
-	cfg, rate, dur := openLoopConfig(scale)
+func runOpenLoopCell(rc RunConfig, workers int) (platform.LoadResult, time.Duration, error) {
+	cfg, rate, dur := openLoopConfig(rc.Scale)
+	opts := rc.Options()
+	opts.Workers = workers
 	start := time.Now()
-	e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch,
-		platform.Options{Workers: workers}, benchCluster())
+	e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch, opts, platform.DefaultClusterConfig())
 	if err != nil {
 		return platform.LoadResult{}, 0, err
 	}
@@ -78,8 +79,8 @@ func runOpenLoopCell(scale float64, workers int) (platform.LoadResult, time.Dura
 // CollectOpenLoop measures the open-loop bench at each worker count. The
 // first count is the reference for both VirtualMatch and Speedup; pass 1
 // first so the report reads as "parallel vs sequential".
-func CollectOpenLoop(scale float64, workerCounts []int) (OpenLoopReport, error) {
-	_, rate, dur := openLoopConfig(scale)
+func CollectOpenLoop(rc RunConfig, workerCounts []int) (OpenLoopReport, error) {
+	_, rate, dur := openLoopConfig(rc.Scale)
 	rep := OpenLoopReport{
 		Workflow:   "ML-prediction",
 		Mode:       platform.ModeRMMAPPrefetch.String(),
@@ -89,7 +90,7 @@ func CollectOpenLoop(scale float64, workerCounts []int) (OpenLoopReport, error) 
 	var ref platform.LoadResult
 	var refWall time.Duration
 	for i, w := range workerCounts {
-		res, wall, err := runOpenLoopCell(scale, w)
+		res, wall, err := runOpenLoopCell(rc, w)
 		if err != nil {
 			return rep, fmt.Errorf("openloop workers=%d: %w", w, err)
 		}
@@ -114,7 +115,7 @@ func CollectOpenLoop(scale float64, workerCounts []int) (OpenLoopReport, error) 
 			maxWorkers = w
 		}
 	}
-	fr, err := CollectFaultRate(maxWorkers, scaleInt(4096, scale))
+	fr, err := CollectFaultRate(rc, maxWorkers)
 	if err != nil {
 		return rep, fmt.Errorf("fault rate: %w", err)
 	}

@@ -22,7 +22,7 @@ func BenchmarkOpenLoopFig14(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, _, err := runOpenLoopCell(benchScale, workers)
+				res, _, err := runOpenLoopCell(RunConfig{Scale: benchScale}, workers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -49,7 +49,7 @@ func TestOpenLoopSpeedupGuard(t *testing.T) {
 	if os.Getenv("RMMAP_SPEEDUP_GUARD") == "" {
 		t.Skip("set RMMAP_SPEEDUP_GUARD=1 to run the wall-clock speedup guard")
 	}
-	rep, err := CollectOpenLoop(1.0, []int{1, 8})
+	rep, err := CollectOpenLoop(RunConfig{Scale: 1.0}, []int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestOpenLoopSpeedupGuard(t *testing.T) {
 // machine-dependent; the allocation guard over the same path lives in
 // BenchmarkFaultPath (internal/kernel).
 func TestCollectFaultRate(t *testing.T) {
-	fr, err := CollectFaultRate(4, 256)
+	fr, err := CollectFaultRate(RunConfig{Scale: 256.0 / 4096}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,32 +9,6 @@ import (
 	"rmmap/internal/simtime"
 )
 
-// Topology selects the cluster shape the Fig-14 JSON grid and the fan-out
-// ablation run on: "" (or "flat") is the classic flat cluster, anything
-// else is a platformbuilder recipe name or topology JSON path. rmmap-bench
-// -topology sets it. abl-topology ignores it — that experiment sweeps
-// shapes itself.
-var Topology = ""
-
-// topoCluster builds a fresh cluster of the given machine count honoring
-// the Topology selection, returning the shape label recorded in reports.
-// A fresh cluster per call means fresh link-occupancy state, so repeated
-// collections stay byte-identical.
-func topoCluster(machines int) (*platform.Cluster, string, error) {
-	if Topology == "" || Topology == "flat" {
-		return platform.NewCluster(machines, simtime.DefaultCostModel()), "flat", nil
-	}
-	b, err := platformbuilder.Resolve(Topology, machines)
-	if err != nil {
-		return nil, "", err
-	}
-	cl, err := b.Build()
-	if err != nil {
-		return nil, "", err
-	}
-	return cl, b.Name(), nil
-}
-
 // TopologyRow is one (topology, placement) cell of the topology-cliff
 // section of BENCH_fig14.json: the datapath cost of the same pinned 1→8
 // fan-out when the consumer machine sits next to the producer versus
@@ -78,27 +52,23 @@ var topologyLegs = []struct {
 // plus the unpinned placement-policy comparison (first-fit spread versus
 // Options.RackLocal). Everything is virtual time, so rows are
 // byte-identical at any worker count.
-func CollectTopology(scale float64) ([]TopologyRow, error) {
+func CollectTopology(rc RunConfig) ([]TopologyRow, error) {
 	const width = 8
-	elems := scaleInt(65536, scale)
+	elems := scaleInt(65536, rc.Scale)
 	rows := make([]TopologyRow, 0, len(topologyLegs))
 	for _, leg := range topologyLegs {
-		b, err := platformbuilder.Recipe(leg.recipe, leg.machines)
+		cfg, _, err := platformbuilder.Resolve(leg.recipe, leg.machines, 4*leg.machines)
 		if err != nil {
 			return nil, err
 		}
-		cl, err := b.Build()
-		if err != nil {
-			return nil, err
-		}
-		opts := benchOptions()
+		opts := rc.Options()
 		opts.RackLocal = leg.rackLocal
-		e, err := platform.NewEngineOn(cl, topoFanout(leg.producer, leg.consumer, width, elems),
-			platform.ModeRMMAP, opts, 4*leg.machines)
+		e, err := platform.NewEngine(topoFanout(leg.producer, leg.consumer, width, elems),
+			platform.ModeRMMAP, opts, cfg)
 		if err != nil {
-			cl.Close()
 			return nil, err
 		}
+		cl := e.Cluster
 		res, err := e.Run()
 		if err != nil {
 			cl.Close()
@@ -145,8 +115,8 @@ func TopologyCliff(rows []TopologyRow) float64 {
 	return float64(cross) / float64(intra)
 }
 
-func runAblTopology(w io.Writer, scale float64) error {
-	rows, err := CollectTopology(scale)
+func runAblTopology(w io.Writer, rc RunConfig) error {
+	rows, err := CollectTopology(rc)
 	if err != nil {
 		return err
 	}

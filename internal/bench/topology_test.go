@@ -14,10 +14,7 @@ import (
 // returns its serialized rows.
 func collectTopologyAt(t *testing.T, workers int) []byte {
 	t.Helper()
-	old := Workers
-	Workers = workers
-	defer func() { Workers = old }()
-	rows, err := CollectTopology(goldenScale)
+	rows, err := CollectTopology(RunConfig{Scale: goldenScale, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +62,9 @@ func TestTopologyCliff(t *testing.T) {
 	}
 }
 
-// runFlatCell runs one WordCount fig14 cell on the given cluster and
-// serializes its artifacts.
-func runFlatCell(t *testing.T, cl *platform.Cluster, workers int) runArtifacts {
+// runFlatCell runs one WordCount fig14 cell on a cluster assembled from
+// cfg and serializes its artifacts.
+func runFlatCell(t *testing.T, cfg platform.ClusterConfig, workers int) runArtifacts {
 	t.Helper()
 	var builder WorkflowBuilder
 	for _, w := range Workflows(goldenScale) {
@@ -76,8 +73,8 @@ func runFlatCell(t *testing.T, cl *platform.Cluster, workers int) runArtifacts {
 		}
 	}
 	reg := obs.NewRegistry()
-	e, err := platform.NewEngineOn(cl, builder.Build(), platform.ModeRMMAPPrefetch,
-		platform.Options{Trace: true, Obs: reg, Workers: workers}, benchCluster().Pods)
+	e, err := platform.NewEngine(builder.Build(), platform.ModeRMMAPPrefetch,
+		platform.Options{Trace: true, Obs: reg, Workers: workers}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +95,13 @@ func runFlatCell(t *testing.T, cl *platform.Cluster, workers int) runArtifacts {
 
 // TestFlatBuilderEquivalence proves the flat-equivalence acceptance
 // criterion: a one-rack platformbuilder build must reproduce the classic
-// platform.NewCluster run byte for byte — spans, metrics, and fig14 rows —
-// at Workers 1 and 8.
+// flat cluster config's run byte for byte — spans, metrics, and fig14
+// rows — at Workers 1 and 8.
 func TestFlatBuilderEquivalence(t *testing.T) {
-	machines := benchCluster().Machines
+	classicCfg := platform.DefaultClusterConfig()
 	for _, workers := range []int{1, 8} {
-		classic := runFlatCell(t, platform.NewCluster(machines, defaultCM()), workers)
-		built, err := platformbuilder.Flat(machines).Build()
+		classic := runFlatCell(t, classicCfg, workers)
+		built, _, err := platformbuilder.Resolve("", classicCfg.Machines, classicCfg.Pods)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,21 +125,18 @@ func TestFlatBuilderEquivalence(t *testing.T) {
 // contention in play, at one worker count.
 func runTopologyDeterminismCell(t *testing.T, workers int) runArtifacts {
 	t.Helper()
-	b, err := platformbuilder.Recipe("straggler", 4)
+	cfg, _, err := platformbuilder.Resolve("straggler", 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	reg := obs.NewRegistry()
-	e, err := platform.NewEngineOn(cl, topoFanout(0, 3, 8, scaleInt(65536, goldenScale)),
-		platform.ModeRMMAP, platform.Options{Trace: true, Obs: reg, Workers: workers}, 16)
+	e, err := platform.NewEngine(topoFanout(0, 3, 8, scaleInt(65536, goldenScale)),
+		platform.ModeRMMAP, platform.Options{Trace: true, Obs: reg, Workers: workers}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := e.Cluster
+	defer cl.Close()
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

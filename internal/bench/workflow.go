@@ -44,13 +44,8 @@ func Workflows(scale float64) []WorkflowBuilder {
 	}
 }
 
-// wfBuilders is the historical internal name for Workflows.
-func wfBuilders(scale float64) []WorkflowBuilder { return Workflows(scale) }
-
-func benchCluster() platform.ClusterConfig { return platform.ClusterConfig{Machines: 10, Pods: 80} }
-
 func runOne(wf *platform.Workflow, mode platform.Mode, opts platform.Options) (platform.RunResult, error) {
-	e, err := platform.NewEngine(wf, mode, opts, benchCluster())
+	e, err := platform.NewEngine(wf, mode, opts, platform.DefaultClusterConfig())
 	if err != nil {
 		return platform.RunResult{}, err
 	}
@@ -117,11 +112,11 @@ func init() {
 	})
 }
 
-func runFig3(w io.Writer, scale float64) error {
+func runFig3(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "workflow", "approach", "E2E-work", "transfer", "func", "platform", "transfer-ratio")
-	for _, wfb := range wfBuilders(scale) {
+	for _, wfb := range Workflows(rc.Scale) {
 		for _, mode := range []platform.Mode{platform.ModeMessaging, platform.ModeStoragePocket} {
-			res, err := runOne(wfb.Build(), mode, benchOptions())
+			res, err := runOne(wfb.Build(), mode, rc.Options())
 			if err != nil {
 				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
@@ -135,11 +130,13 @@ func runFig3(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig5(w io.Writer, scale float64) error {
+func runFig5(w io.Writer, rc RunConfig) error {
+	opts := rc.Options()
+	opts.ZeroNetwork = true
 	t := newTable(w, "workflow", "approach", "E2E-work", "ser+des", "ser+des-ratio")
-	for _, wfb := range wfBuilders(scale) {
+	for _, wfb := range Workflows(rc.Scale) {
 		for _, mode := range []platform.Mode{platform.ModeMessaging, platform.ModeStoragePocket} {
-			res, err := runOne(wfb.Build(), mode, platform.Options{ZeroNetwork: true})
+			res, err := runOne(wfb.Build(), mode, opts)
 			if err != nil {
 				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
@@ -152,17 +149,17 @@ func runFig5(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig14(w io.Writer, scale float64) error {
+func runFig14(w io.Writer, rc RunConfig) error {
 	// The wall column is host time per cell — the only machine-dependent
 	// number in the table. latency (virtual time) is identical at every
 	// -workers setting; wall is what -workers improves.
 	t := newTable(w, "workflow", "approach", "latency", "wall", "vs best baseline")
-	for _, wfb := range wfBuilders(scale) {
+	for _, wfb := range Workflows(rc.Scale) {
 		lat := map[platform.Mode]simtime.Duration{}
 		wall := map[platform.Mode]time.Duration{}
 		for _, mode := range platform.AllModes() {
 			start := time.Now()
-			res, err := runOne(wfb.Build(), mode, benchOptions())
+			res, err := runOne(wfb.Build(), mode, rc.Options())
 			if err != nil {
 				return fmt.Errorf("%s/%v: %w", wfb.Name, mode, err)
 			}
@@ -184,17 +181,17 @@ func runFig14(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig13a(w io.Writer, scale float64) error {
+func runFig13a(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "epochs", "storage(rdma)", "rmmap(prefetch)", "improvement")
 	for _, epochs := range []int{5, 10, 20, 30} {
 		cfg := workloads.DefaultMLTrain()
-		cfg.Images = scaleInt(cfg.Images, scale)
+		cfg.Images = scaleInt(cfg.Images, rc.Scale)
 		cfg.Epochs = epochs
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
+		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, rc.Options())
 		if err != nil {
 			return err
 		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
+		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, rc.Options())
 		if err != nil {
 			return err
 		}
@@ -205,16 +202,16 @@ func runFig13a(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig13b(w io.Writer, scale float64) error {
+func runFig13b(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "images", "storage(rdma)", "rmmap(prefetch)", "improvement")
 	for _, images := range []int{500, 1000, 2000, 4000} {
 		cfg := workloads.DefaultMLTrain()
-		cfg.Images = scaleInt(images, scale)
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
+		cfg.Images = scaleInt(images, rc.Scale)
+		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, rc.Options())
 		if err != nil {
 			return err
 		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
+		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, rc.Options())
 		if err != nil {
 			return err
 		}
@@ -225,17 +222,17 @@ func runFig13b(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig13c(w io.Writer, scale float64) error {
+func runFig13c(w io.Writer, rc RunConfig) error {
 	t := newTable(w, "trainers", "storage(rdma)", "rmmap(prefetch)", "improvement")
 	for _, width := range []int{2, 4, 8, 16} {
 		cfg := workloads.DefaultMLTrain()
-		cfg.Images = scaleInt(cfg.Images, scale)
+		cfg.Images = scaleInt(cfg.Images, rc.Scale)
 		cfg.Trainers = width
-		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, benchOptions())
+		stor, err := runOne(workloads.MLTrain(cfg), platform.ModeStorageDrTM, rc.Options())
 		if err != nil {
 			return err
 		}
-		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, benchOptions())
+		rm, err := runOne(workloads.MLTrain(cfg), platform.ModeRMMAPPrefetch, rc.Options())
 		if err != nil {
 			return err
 		}
@@ -246,15 +243,15 @@ func runFig13c(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig13d(w io.Writer, scale float64) error {
+func runFig13d(w io.Writer, rc RunConfig) error {
 	cfg := workloads.DefaultWordCount()
-	cfg.BookBytes = scaleInt(cfg.BookBytes, scale)
+	cfg.BookBytes = scaleInt(cfg.BookBytes, rc.Scale)
 	cfg.Lang = objrt.LangJava
 	t := newTable(w, "approach", "latency (Java WordCount)", "rmmap advantage")
 	var rm simtime.Duration
 	results := map[platform.Mode]simtime.Duration{}
 	for _, mode := range platform.AllModes() {
-		res, err := runOne(workloads.WordCount(cfg), mode, benchOptions())
+		res, err := runOne(workloads.WordCount(cfg), mode, rc.Options())
 		if err != nil {
 			return err
 		}
@@ -270,19 +267,19 @@ func runFig13d(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig12(w io.Writer, scale float64) error {
+func runFig12(w io.Writer, rc RunConfig) error {
 	// Fig 12 runs many requests per approach; it uses a throughput-sized
 	// serving configuration (smaller batch, 16-tree model) so the suite
 	// stays tractable — relative numbers are what the figure shows.
 	cfg := workloads.DefaultMLPredict()
-	cfg.Images = scaleInt(300, scale)
+	cfg.Images = scaleInt(300, rc.Scale)
 	cfg.Trees = 16
 
 	// The load itself also scales, so tiny smoke runs stay tractable.
 	clients := 8
 	closedHorizon := 1 * simtime.Second
 	openDur := 2 * simtime.Second
-	if scale < 0.1 {
+	if rc.Scale < 0.1 {
 		clients = 4
 		closedHorizon = 300 * simtime.Millisecond
 		openDur = 500 * simtime.Millisecond
@@ -292,7 +289,7 @@ func runFig12(w io.Writer, scale float64) error {
 	t := newTable(w, "approach", "peak tput (req/s)", "p50", "p90", "p99", "avg busy pods")
 	peak := map[platform.Mode]float64{}
 	for _, mode := range platform.AllModes() {
-		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, benchOptions(), benchCluster())
+		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), platform.DefaultClusterConfig())
 		if err != nil {
 			return err
 		}
@@ -316,7 +313,7 @@ func runFig12(w io.Writer, scale float64) error {
 	}
 	t2 := newTable(w, "approach", fmt.Sprintf("tput @ %.1f req/s", rate), "activated pods", "avg busy", "p99")
 	for _, mode := range platform.AllModes() {
-		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, benchOptions(), benchCluster())
+		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), platform.DefaultClusterConfig())
 		if err != nil {
 			return err
 		}
@@ -332,13 +329,13 @@ func runFig12(w io.Writer, scale float64) error {
 	return nil
 }
 
-func runFig16a(w io.Writer, scale float64) error {
+func runFig16a(w io.Writer, rc RunConfig) error {
 	// One producer, one consumer, a list(int) payload; measure cluster
 	// peak memory. "optimal" generates and reads the list inside one
 	// function — no transfer at all.
 	t := newTable(w, "entries", "approach", "peak memory", "vs optimal")
 	for _, n := range []int{10000, 50000, 200000} {
-		n = scaleInt(n, scale)
+		n = scaleInt(n, rc.Scale)
 		var optimal int
 		type cs struct {
 			name string
@@ -346,7 +343,7 @@ func runFig16a(w io.Writer, scale float64) error {
 		}
 		cases := []cs{{"optimal (no transfer)", func() (int, error) {
 			wf := listLocalWorkflow(n)
-			e, err := platform.NewEngine(wf, platform.ModeMessaging, benchOptions(), platform.ClusterConfig{Machines: 2, Pods: 2})
+			e, err := platform.NewEngine(wf, platform.ModeMessaging, rc.Options(), platform.ClusterConfig{Machines: 2, Pods: 2})
 			if err != nil {
 				return 0, err
 			}
@@ -359,7 +356,7 @@ func runFig16a(w io.Writer, scale float64) error {
 			mode := mode
 			cases = append(cases, cs{mode.String(), func() (int, error) {
 				wf := listTransferWorkflow(n)
-				e, err := platform.NewEngine(wf, mode, benchOptions(), platform.ClusterConfig{Machines: 2, Pods: 2})
+				e, err := platform.NewEngine(wf, mode, rc.Options(), platform.ClusterConfig{Machines: 2, Pods: 2})
 				if err != nil {
 					return 0, err
 				}

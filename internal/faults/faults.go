@@ -235,7 +235,7 @@ func NewInjector(plan Plan, clock func() simtime.Time) *Injector {
 }
 
 // Crashes returns the plan's machine-crash schedule (for arming on a
-// simulator — see platform.NewChaosCluster).
+// simulator — see platform.ClusterConfig.Chaos).
 func (in *Injector) Crashes() []Crash { return in.crashes }
 
 // CoordCrashes returns the plan's coordinator crash/recovery schedule

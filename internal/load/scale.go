@@ -10,7 +10,6 @@ import (
 	"rmmap/internal/faults"
 	"rmmap/internal/platform"
 	"rmmap/internal/platformbuilder"
-	"rmmap/internal/simtime"
 )
 
 // SoakSpec parameterizes one chaos soak: an open-loop multi-tenant
@@ -31,9 +30,9 @@ type SoakSpec struct {
 	// Workers it does not appear in the report: sharding re-partitions
 	// journals without moving any data-plane event.
 	CtrlShards int
-	// Topology selects the cluster shape: "" (or "flat") is the classic
-	// flat cluster, otherwise a platformbuilder recipe name or topology
-	// JSON file (rmmap-load -topology). Multi-rack shapes add ToR/spine
+	// Topology selects the cluster shape (platformbuilder.Resolve): "" is
+	// the classic flat cluster, otherwise a recipe name or topology JSON
+	// file (rmmap-load -topology). Multi-rack shapes add ToR/spine
 	// hop and link-contention costs to every remote operation, all in
 	// virtual time — the report stays deterministic.
 	Topology string
@@ -113,11 +112,14 @@ type ScaleReport struct {
 	Curve []CurvePoint `json:"goodput_vs_offered,omitempty"`
 }
 
-// engine builds a fresh chaos cluster + engine for one soak run.
-func (spec SoakSpec) engine() (*platform.Engine, *platform.Cluster, error) {
+// engine builds a fresh engine for one soak run on the spec's cluster
+// shape, with the fault injector and retry policy wired outside any
+// topology wrap. It also returns the shape's report label: empty for the
+// classic flat cluster.
+func (spec SoakSpec) engine() (*platform.Engine, string, error) {
 	wf, err := Workflow(spec.Workflow, spec.Small)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
 	rec := spec.Recovery
 	if rec == nil {
@@ -132,40 +134,19 @@ func (spec SoakSpec) engine() (*platform.Engine, *platform.Cluster, error) {
 		Workers:    spec.Workers,
 		CtrlShards: spec.CtrlShards,
 	}
-	cluster, err := spec.cluster(rec)
+	cfg, name, err := platformbuilder.Resolve(spec.Topology, spec.Machines, spec.Pods)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	e, err := platform.NewEngineOn(cluster, wf, spec.Mode, opts, spec.Pods)
+	cfg.Chaos, cfg.Retry = &spec.Plan, rec.Retry
+	e, err := platform.NewEngine(wf, spec.Mode, opts, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, "", err
 	}
-	return e, cluster, nil
-}
-
-// cluster builds the soak's substrate: the classic flat chaos cluster, or
-// — with Topology set — a platformbuilder shape with the same fault
-// injector and retry policy wired outside the topology wrap.
-func (spec SoakSpec) cluster(rec *platform.RecoveryPolicy) (*platform.Cluster, error) {
-	if spec.Topology == "" || spec.Topology == "flat" {
-		return platform.NewChaosCluster(spec.Machines, simtime.DefaultCostModel(), spec.Plan, rec.Retry), nil
+	if cfg.Topo == nil {
+		return e, "", nil
 	}
-	b, err := platformbuilder.Resolve(spec.Topology, spec.Machines)
-	if err != nil {
-		return nil, err
-	}
-	return b.WithChaos(spec.Plan, rec.Retry).Build()
-}
-
-// topologyLabel is what the report records for the soak's cluster shape.
-func (spec SoakSpec) topologyLabel() string {
-	if spec.Topology == "" || spec.Topology == "flat" {
-		return ""
-	}
-	if b, err := platformbuilder.Resolve(spec.Topology, spec.Machines); err == nil {
-		return b.Name()
-	}
-	return spec.Topology
+	return e, name, nil
 }
 
 // RunSoak runs the soak and builds its report: the headline numbers from
@@ -181,16 +162,16 @@ func RunSoak(spec SoakSpec) (ScaleReport, error) {
 	if events == nil {
 		events = Bursty(spec.Gen)
 	}
-	e, cluster, err := spec.engine()
+	e, topology, err := spec.engine()
 	if err != nil {
 		return ScaleReport{}, err
 	}
-	defer cluster.Close()
+	defer e.Cluster.Close()
 	res := Replay(e, events, spec.Gen.Horizon)
 	rep := ScaleReport{
 		Workflow: spec.Workflow,
 		Mode:     e.Mode().String(),
-		Topology: spec.topologyLabel(),
+		Topology: topology,
 		Machines: spec.Machines,
 		Pods:     spec.Pods,
 		Tenants:  spec.Gen.Tenants,
@@ -219,18 +200,18 @@ func RunSoak(spec SoakSpec) (ScaleReport, error) {
 		BreakerHalfOpens: res.Admission.BreakerHalfOpens,
 		BreakerCloses:    res.Admission.BreakerCloses,
 
-		InjectedFaults: cluster.Injector.Total(),
+		InjectedFaults: e.Cluster.Injector.Total(),
 	}
 	for _, mult := range spec.CurveMultipliers {
 		gen := spec.Gen
 		gen.BaseRate *= mult
 		gen.BurstRate *= mult
-		pe, pcl, err := spec.engine()
+		pe, _, err := spec.engine()
 		if err != nil {
 			return ScaleReport{}, err
 		}
 		pres := Replay(pe, Bursty(gen), gen.Horizon)
-		pcl.Close()
+		pe.Cluster.Close()
 		rep.Curve = append(rep.Curve, CurvePoint{
 			Multiplier: mult,
 			OfferedRPS: pres.OfferedRPS(),

@@ -20,9 +20,8 @@ func testEngine(t *testing.T, adm *admit.Config, workers int) *platform.Engine {
 		t.Fatal(err)
 	}
 	rec := platform.DefaultRecoveryPolicy()
-	cluster := platform.NewChaosCluster(4, simtime.DefaultCostModel(), faults.Plan{}, rec.Retry)
-	e, err := platform.NewEngineOn(cluster, wf, platform.ModeRMMAP,
-		platform.Options{Recovery: rec, Admission: adm, Workers: workers}, 16)
+	e, err := platform.NewEngine(wf, platform.ModeRMMAP, platform.Options{Recovery: rec, Admission: adm, Workers: workers},
+		platform.ClusterConfig{Machines: 4, Pods: 16, Chaos: &faults.Plan{}, Retry: rec.Retry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,11 +156,12 @@ func deadlineLadderRun(t *testing.T, plan faults.Plan, opts Options,
 	if opts.Recovery != nil && opts.Recovery.Retry.MaxAttempts > 0 {
 		retry = opts.Recovery.Retry
 	}
-	cluster := NewChaosCluster(3, simtime.DefaultCostModel(), plan, retry)
-	e, err := NewEngineOn(cluster, chaosFanWorkflow(1000), ModeRMMAPPrefetch, opts, 6)
+	e, err := NewEngine(chaosFanWorkflow(1000), ModeRMMAPPrefetch, opts,
+		ClusterConfig{Machines: 3, Pods: 6, Chaos: &plan, Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cluster := e.Cluster
 	var res RunResult
 	e.SubmitTenant(SubmitInfo{Tenant: "t", Deadline: deadline},
 		func(r RunResult) { res = r })
@@ -259,11 +260,12 @@ func TestDeadlineAcrossRecoveryLadder(t *testing.T) {
 func TestPartitionParkFastFail(t *testing.T) {
 	opts := Options{Trace: true, Recovery: DefaultRecoveryPolicy()}
 	run := func(plan faults.Plan, probes func(c *Cluster)) (RunResult, *Cluster) {
-		cluster := NewChaosCluster(3, simtime.DefaultCostModel(), plan, faults.DefaultRetryPolicy())
-		e, err := NewEngineOn(cluster, chaosFanWorkflow(1000), ModeRMMAPPrefetch, opts, 6)
+		e, err := NewEngine(chaosFanWorkflow(1000), ModeRMMAPPrefetch, opts,
+			ClusterConfig{Machines: 3, Pods: 6, Chaos: &plan, Retry: faults.DefaultRetryPolicy()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		cluster := e.Cluster
 		if probes != nil {
 			probes(cluster)
 		}

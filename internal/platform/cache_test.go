@@ -65,15 +65,17 @@ func cacheFanWorkflow(width, elems int) *Workflow {
 	}
 }
 
-// runCacheFan runs the pinned fan-out on a fresh 2-machine cluster and
-// also returns the fabric page count and the cluster (for cache probes).
-func runCacheFan(t *testing.T, width, elems int, mode Mode, opts Options) (RunResult, int, *Cluster) {
+// runCacheFan runs the pinned fan-out on a fresh 2-machine cluster sized
+// by cfg's cache knobs and also returns the fabric page count and the
+// cluster (for cache probes).
+func runCacheFan(t *testing.T, width, elems int, mode Mode, opts Options, cfg ClusterConfig) (RunResult, int, *Cluster) {
 	t.Helper()
-	cl := NewCluster(2, simtime.DefaultCostModel())
-	e, err := NewEngineOn(cl, cacheFanWorkflow(width, elems), mode, opts, 4+2*width)
+	cfg.Machines, cfg.Pods = 2, 4+2*width
+	e, err := NewEngine(cacheFanWorkflow(width, elems), mode, opts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := e.Cluster
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +92,9 @@ func runCacheFan(t *testing.T, width, elems int, mode Mode, opts Options) (RunRe
 // one-sided reads ≥ 4× and improve latency, with identical output.
 func TestFanOutCacheCutsFabricTraffic(t *testing.T) {
 	const width, elems = 8, 8192
-	base, basePages, _ := runCacheFan(t, width, elems, ModeRMMAP,
-		Options{NoPageCache: true, NoReadahead: true})
-	opt, optPages, _ := runCacheFan(t, width, elems, ModeRMMAP, Options{})
+	base, basePages, _ := runCacheFan(t, width, elems, ModeRMMAP, Options{},
+		ClusterConfig{PageCacheBytes: -1, ReadaheadWindow: -1})
+	opt, optPages, _ := runCacheFan(t, width, elems, ModeRMMAP, Options{}, ClusterConfig{})
 
 	if base.Output != opt.Output {
 		t.Fatalf("cache changed the answer: %v vs %v", base.Output, opt.Output)
@@ -114,30 +116,30 @@ func TestFanOutCacheCutsFabricTraffic(t *testing.T) {
 		t.Errorf("hit rate = %v, want > 0", opt.Cache.HitRate())
 	}
 	if base.Cache.Hits != 0 || base.Cache.Inserts != 0 {
-		t.Errorf("NoPageCache run still touched the cache: %+v", base.Cache)
+		t.Errorf("cache-off run still touched the cache: %+v", base.Cache)
 	}
 }
 
 // TestCacheOptionsNeverChangeResults: the cache and readahead are pure
 // optimizations — every (mode × knob) combination computes the same answer.
 func TestCacheOptionsNeverChangeResults(t *testing.T) {
-	grid := []Options{
+	grid := []ClusterConfig{
 		{},
-		{NoReadahead: true},
-		{NoPageCache: true},
-		{NoPageCache: true, NoReadahead: true},
+		{ReadaheadWindow: -1},
+		{PageCacheBytes: -1},
+		{PageCacheBytes: -1, ReadaheadWindow: -1},
 		{PageCacheBytes: 2 * memsim.PageSize, ReadaheadWindow: 4},
 	}
 	for _, mode := range AllModes() {
 		var want any
-		for i, opts := range grid {
-			res, _, _ := runCacheFan(t, 4, 2048, mode, opts)
+		for i, cfg := range grid {
+			res, _, _ := runCacheFan(t, 4, 2048, mode, Options{}, cfg)
 			if i == 0 {
 				want = res.Output
 				continue
 			}
 			if res.Output != want {
-				t.Errorf("%v with %+v: output %v, want %v", mode, opts, res.Output, want)
+				t.Errorf("%v with %+v: output %v, want %v", mode, cfg, res.Output, want)
 			}
 		}
 	}
@@ -147,7 +149,7 @@ func TestCacheOptionsNeverChangeResults(t *testing.T) {
 // producer registration has been deregistered and the broadcast has
 // emptied all machine caches — no frame outlives the state it mirrors.
 func TestCacheDrainedByDeregisterBroadcast(t *testing.T) {
-	_, _, cl := runCacheFan(t, 8, 4096, ModeRMMAP, Options{})
+	_, _, cl := runCacheFan(t, 8, 4096, ModeRMMAP, Options{}, ClusterConfig{})
 	if cl.CacheStats().Inserts == 0 {
 		t.Fatal("run never populated the cache")
 	}
@@ -162,7 +164,10 @@ func TestCacheDrainedByDeregisterBroadcast(t *testing.T) {
 // drops every cached page sourced from it, cluster-wide.
 func TestCrashInvalidatesCache(t *testing.T) {
 	plan := faults.Plan{Seed: 1, Crashes: []faults.Crash{{Machine: 0, At: 1000}}}
-	cl := NewChaosCluster(2, simtime.DefaultCostModel(), plan, faults.DefaultRetryPolicy())
+	cl, err := buildCluster(ClusterConfig{Machines: 2, Chaos: &plan, Retry: faults.DefaultRetryPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const start, end = uint64(0x100000), uint64(0x104000)
 	prod := memsim.NewAddressSpace(cl.Machines[0], cl.CM)
@@ -209,7 +214,7 @@ func TestCrashInvalidatesCache(t *testing.T) {
 // TestTraceCarriesCacheDeltasAndPins: spans expose per-invocation cache
 // activity, and PinMachine actually placed the functions.
 func TestTraceCarriesCacheDeltasAndPins(t *testing.T) {
-	res, _, _ := runCacheFan(t, 4, 2048, ModeRMMAP, Options{Trace: true})
+	res, _, _ := runCacheFan(t, 4, 2048, ModeRMMAP, Options{Trace: true}, ClusterConfig{})
 	var hits, ra int64
 	for _, s := range res.Trace {
 		switch s.Node {

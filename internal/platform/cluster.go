@@ -27,7 +27,7 @@ type Cluster struct {
 	// leave it nil and take exactly the pre-topology code path.
 	Topo *rdma.Topology
 
-	// Injector is non-nil on chaos clusters (NewChaosCluster): the seeded
+	// Injector is non-nil on chaos clusters (ClusterConfig.Chaos): the seeded
 	// fault source every kernel's transport consults.
 	Injector *faults.Injector
 	retriers []*faults.RetryTransport
@@ -43,12 +43,17 @@ type Cluster struct {
 	retainCrashedPages bool
 }
 
-// ClusterSpec is the declarative input to BuildCluster — the assembly
-// contract the platformbuilder's fluent API compiles down to. The zero
-// value plus a machine count reproduces the classic flat cluster.
-type ClusterSpec struct {
+// ClusterConfig is the single description of a run's substrate: machine
+// and pod counts plus everything the platformbuilder layer compiles a
+// shape to (topology, fabrics, chaos). The zero value plus a machine and
+// pod count is the classic flat cluster with the platform's default page
+// cache and readahead.
+type ClusterConfig struct {
 	// Machines is the machine count (must be ≥ 1).
 	Machines int
+	// Pods is the number of execution slots, round-robined over the
+	// machines (must be ≥ 1).
+	Pods int
 	// CM is the cost model; nil means simtime.DefaultCostModel().
 	CM *simtime.CostModel
 	// Topo, when non-nil, attaches the multi-rack link-cost model: every
@@ -56,46 +61,71 @@ type ClusterSpec struct {
 	// FabricTCP get a real loopback-TCP byte transport muxed in for the
 	// links that touch them. Machine count must match the topology.
 	Topo *rdma.Topology
-	// Chaos, when non-nil, wires the seeded fault injector and retrying
-	// transport exactly like NewChaosCluster, outside the topology wrap:
-	// retry(faults(topo(nic))), so injected faults short-circuit before
-	// any link cost is charged and retries re-charge hops honestly.
+	// Chaos, when non-nil, wires the seeded fault injector and a retrying
+	// transport outside the topology wrap: retry(faults(topo(nic))), so
+	// injected faults short-circuit before any link cost is charged and
+	// retries re-charge hops honestly. Transient faults are retried with
+	// capped exponential backoff (charged to CatRetry) before they reach
+	// the kernel; persistent faults and machine crashes surface as errors
+	// for the engine's recovery ladder. The plan's machine crashes are
+	// armed on the simulator; everything downstream is deterministic in
+	// the plan's seed.
 	Chaos *faults.Plan
 	// Retry is the retry policy for Chaos clusters (normalized defaults
 	// apply when zero).
 	Retry faults.RetryPolicy
-	// AllTCP puts every machine on the real loopback-TCP fabric (the
-	// NewClusterTCP behaviour); mutually exclusive with per-rack fabric
-	// selection via Topo.
+	// AllTCP puts every machine on the real loopback-TCP fabric: every
+	// remote page fault and rmap RPC crosses an actual network boundary,
+	// with identical virtual-time accounting. Mutually exclusive with
+	// per-rack fabric selection via Topo. Close the engine's cluster to
+	// stop the servers.
 	AllTCP bool
+	// PageCacheBytes is the per-machine remote page cache budget:
+	// 0 = kernel.DefaultPageCacheBytes, < 0 = no cache (the fan-out
+	// ablation's negative control).
+	PageCacheBytes int64
+	// ReadaheadWindow caps fault-coalescing readahead in pages:
+	// 0 = kernel.DefaultReadaheadMax, < 0 = off.
+	ReadaheadWindow int
 }
 
-// BuildCluster assembles a cluster from a spec. It is the single assembly
-// path: the engine, the chaos/bench/load CLIs, and the platformbuilder all
-// flow through it, so a flat one-rack build is byte-identical to the
-// pre-topology cluster by construction.
-func BuildCluster(spec ClusterSpec) (*Cluster, error) {
-	if spec.Machines < 1 {
-		return nil, fmt.Errorf("platform: cluster needs at least 1 machine, got %d", spec.Machines)
+// DefaultClusterConfig mirrors the paper's 10-machine testbed with 8
+// execution slots per machine.
+func DefaultClusterConfig() ClusterConfig { return ClusterConfig{Machines: 10, Pods: 80} }
+
+// validate checks the config once, before anything is assembled.
+func (cfg ClusterConfig) validate() error {
+	if cfg.Machines < 1 {
+		return fmt.Errorf("platform: cluster needs at least 1 machine, got %d", cfg.Machines)
 	}
-	cm := spec.CM
+	if cfg.Pods < 1 {
+		return fmt.Errorf("platform: cluster needs at least 1 pod, got %d", cfg.Pods)
+	}
+	if cfg.Topo != nil && cfg.Topo.Machines() != cfg.Machines {
+		return fmt.Errorf("platform: topology covers %d machines, cluster has %d",
+			cfg.Topo.Machines(), cfg.Machines)
+	}
+	return nil
+}
+
+// buildCluster assembles a validated config's substrate. It is the single
+// assembly path, so a flat one-rack build is byte-identical to the
+// pre-topology cluster by construction.
+func buildCluster(cfg ClusterConfig) (*Cluster, error) {
+	cm := cfg.CM
 	if cm == nil {
 		cm = simtime.DefaultCostModel()
 	}
-	if spec.Topo != nil && spec.Topo.Machines() != spec.Machines {
-		return nil, fmt.Errorf("platform: topology covers %d machines, cluster has %d",
-			spec.Topo.Machines(), spec.Machines)
+	c := &Cluster{CM: cm, Sim: sim.New(), Topo: cfg.Topo}
+	if cfg.Topo != nil {
+		cfg.Topo.Clock = c.Sim.Now
 	}
-	c := &Cluster{CM: cm, Sim: sim.New(), Topo: spec.Topo}
-	if spec.Topo != nil {
-		spec.Topo.Clock = c.Sim.Now
-	}
-	if spec.Chaos != nil {
-		c.Injector = faults.NewInjector(*spec.Chaos, c.Sim.Now)
+	if cfg.Chaos != nil {
+		c.Injector = faults.NewInjector(*cfg.Chaos, c.Sim.Now)
 	}
 
-	wantSim := !spec.AllTCP
-	wantTCP := spec.AllTCP || (spec.Topo != nil && spec.Topo.HasTCP())
+	wantSim := !cfg.AllTCP
+	wantTCP := cfg.AllTCP || (cfg.Topo != nil && cfg.Topo.HasTCP())
 	if wantSim {
 		c.Fabric = rdma.NewSimFabric(cm)
 	}
@@ -114,7 +144,7 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 		}
 	}
 
-	for i := 0; i < spec.Machines; i++ {
+	for i := 0; i < cfg.Machines; i++ {
 		m := memsim.NewMachine(memsim.MachineID(i))
 		var transport rdma.Transport
 		if wantSim {
@@ -135,17 +165,17 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 			} else {
 				// Mixed fabrics: TCP for links the topology marks TCP,
 				// the in-process fabric for everything else.
-				id, topo := m.ID(), spec.Topo
+				id, topo := m.ID(), cfg.Topo
 				transport = rdma.NewMux(transport, nic, func(target memsim.MachineID) bool {
 					return topo.UseTCP(id, target)
 				})
 			}
 		}
-		if spec.Topo != nil {
-			transport = rdma.WithTopology(transport, spec.Topo)
+		if cfg.Topo != nil {
+			transport = rdma.WithTopology(transport, cfg.Topo)
 		}
 		if c.Injector != nil {
-			rt := faults.WithRetry(faults.Wrap(transport, c.Injector), spec.Retry)
+			rt := faults.WithRetry(faults.Wrap(transport, c.Injector), cfg.Retry)
 			c.retriers = append(c.retriers, rt)
 			transport = rt
 		}
@@ -160,9 +190,9 @@ func BuildCluster(spec ClusterSpec) (*Cluster, error) {
 		c.Machines = append(c.Machines, m)
 		c.Kernels = append(c.Kernels, k)
 	}
-	c.wirePageCaches()
-	if spec.Chaos != nil {
-		c.armCrashes(*spec.Chaos)
+	c.wirePageCaches(cfg.PageCacheBytes, cfg.ReadaheadWindow)
+	if cfg.Chaos != nil {
+		c.armCrashes(*cfg.Chaos)
 	}
 	return c, nil
 }
@@ -196,22 +226,21 @@ func (c *Cluster) Close() {
 	}
 }
 
-// NewCluster builds n machines, each with an RMMAP kernel serving RPC.
-func NewCluster(n int, cm *simtime.CostModel) *Cluster {
-	c, err := BuildCluster(ClusterSpec{Machines: n, CM: cm})
-	if err != nil {
-		panic(err)
+// wirePageCaches sizes the per-machine remote page cache and readahead
+// window (0 = platform default; negative values reach the kernel, which
+// reads them as off) and connects deregister_mem on any machine to every
+// machine's cache — the generation-bump invalidation broadcast (§4.2
+// reclamation).
+func (c *Cluster) wirePageCaches(cacheBytes int64, readahead int) {
+	if cacheBytes == 0 {
+		cacheBytes = kernel.DefaultPageCacheBytes
 	}
-	return c
-}
-
-// wirePageCaches enables the per-machine remote page cache with platform
-// defaults and connects deregister_mem on any machine to every machine's
-// cache — the generation-bump invalidation broadcast (§4.2 reclamation).
-func (c *Cluster) wirePageCaches() {
+	if readahead == 0 {
+		readahead = kernel.DefaultReadaheadMax
+	}
 	for _, k := range c.Kernels {
-		k.EnablePageCache(kernel.DefaultPageCacheBytes)
-		k.SetReadahead(kernel.DefaultReadaheadMax)
+		k.EnablePageCache(cacheBytes)
+		k.SetReadahead(readahead)
 		k.OnDeregister = c.invalidateBelow
 	}
 }
@@ -240,21 +269,6 @@ func (c *Cluster) CacheStats() kernel.CacheStats {
 		s = s.Add(k.CacheStats())
 	}
 	return s
-}
-
-// NewChaosCluster builds a cluster whose kernels see the fabric through a
-// seeded fault injector and a retrying transport: each NIC is wrapped as
-// retry(faults(NIC)), so transient injected faults are retried with capped
-// exponential backoff (charged to CatRetry) before they ever reach the
-// kernel, while persistent faults and machine crashes surface as errors for
-// the engine's recovery ladder. The plan's machine crashes are armed on the
-// simulator; everything downstream is deterministic in plan.Seed.
-func NewChaosCluster(n int, cm *simtime.CostModel, plan faults.Plan, retry faults.RetryPolicy) *Cluster {
-	c, err := BuildCluster(ClusterSpec{Machines: n, CM: cm, Chaos: &plan, Retry: retry})
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // Retries reports the cumulative transport-level retry count across all
@@ -307,19 +321,6 @@ func (c *Cluster) LeaseExpiries() int {
 	return n
 }
 
-// NewClusterTCP builds a cluster whose machines talk over real loopback
-// TCP sockets instead of the in-process fabric: every remote page fault
-// and rmap RPC of a workflow run crosses an actual network boundary.
-// Virtual-time accounting is identical; only the byte transport is real.
-// Close the returned closer to stop the servers.
-func NewClusterTCP(n int, cm *simtime.CostModel) (*Cluster, func(), error) {
-	c, err := BuildCluster(ClusterSpec{Machines: n, CM: cm, AllTCP: true})
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, c.Close, nil
-}
-
 // LiveBytes sums live memory across machines (Fig 16a accounting).
 func (c *Cluster) LiveBytes() int {
 	n := 0
@@ -336,13 +337,6 @@ func (c *Cluster) PeakBytes() int {
 		n += m.PeakBytes()
 	}
 	return n
-}
-
-// ResetPeaks resets per-machine peak accounting.
-func (c *Cluster) ResetPeaks() {
-	for _, m := range c.Machines {
-		m.ResetPeak()
-	}
 }
 
 // Pod is one schedulable execution slot pinned to a machine. It caches

@@ -9,7 +9,6 @@ import (
 	"rmmap/internal/faults"
 	"rmmap/internal/kernel"
 	"rmmap/internal/memsim"
-	"rmmap/internal/simtime"
 )
 
 // Coordinator chaos: the control plane crashes and recovers mid-run
@@ -27,8 +26,8 @@ func newCoordChaosEngine(t *testing.T, wf *Workflow, plan faults.Plan, opts Opti
 	if opts.Recovery != nil && opts.Recovery.Retry.MaxAttempts > 0 {
 		retry = opts.Recovery.Retry
 	}
-	cluster := NewChaosCluster(machines, simtime.DefaultCostModel(), plan, retry)
-	e, err := NewEngineOn(cluster, wf, ModeRMMAPPrefetch, opts, pods)
+	e, err := NewEngine(wf, ModeRMMAPPrefetch, opts,
+		ClusterConfig{Machines: machines, Pods: pods, Chaos: &plan, Retry: retry})
 	if err != nil {
 		t.Fatal(err)
 	}

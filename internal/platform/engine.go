@@ -17,19 +17,6 @@ import (
 	"rmmap/internal/transport"
 )
 
-// ClusterConfig sizes the physical substrate for a run. Spec, when set,
-// carries a full build specification (topology, fabrics, chaos) from the
-// platformbuilder layer; Machines must then match the spec.
-type ClusterConfig struct {
-	Machines int
-	Pods     int
-	Spec     *ClusterSpec
-}
-
-// DefaultClusterConfig mirrors the paper's 10-machine testbed with 8
-// execution slots per machine.
-func DefaultClusterConfig() ClusterConfig { return ClusterConfig{Machines: 10, Pods: 80} }
-
 // Engine executes workflows on a cluster under one transfer mode. It plays
 // the coordinator's role: invoking functions when their inputs are ready,
 // carrying state metadata between pods, and reclaiming registered memory.
@@ -95,9 +82,7 @@ type Engine struct {
 	// event sequence matches the sequential engine's exactly.
 	schedSinks []*execItem
 
-	// MaxRegLifetime drives the pods' lease scanner; 0 disables it.
-	MaxRegLifetime simtime.Duration
-	scannersLive   bool
+	scannersLive bool
 
 	autoscalerLive bool
 	scaleDowns     int
@@ -313,37 +298,16 @@ type RunResult struct {
 }
 
 // NewEngine builds an engine for one workflow and transfer mode on a fresh
-// cluster.
-func NewEngine(wf *Workflow, mode Mode, opts Options, cfg ClusterConfig) (*Engine, error) {
+// cluster assembled from cfg — the one way to get a cluster and an engine.
+// Close e.Cluster when cfg puts machines on real TCP sockets.
+func NewEngine(wf *Workflow, mode Mode, opts Options, cfg ClusterConfig) (_ *Engine, err error) {
 	if err := wf.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Machines <= 0 || cfg.Pods <= 0 {
-		return nil, fmt.Errorf("platform: bad cluster config %+v", cfg)
-	}
-	if cfg.Spec != nil {
-		if cfg.Spec.Machines != cfg.Machines {
-			return nil, fmt.Errorf("platform: cluster spec has %d machines, config asks for %d",
-				cfg.Spec.Machines, cfg.Machines)
-		}
-		cl, err := BuildCluster(*cfg.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return NewEngineOn(cl, wf, mode, opts, cfg.Pods)
-	}
-	cm := simtime.DefaultCostModel()
-	return NewEngineOn(NewCluster(cfg.Machines, cm), wf, mode, opts, cfg.Pods)
-}
-
-// NewEngineOn builds an engine on an existing cluster (so experiments can
-// tweak the cost model first).
-func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods int) (*Engine, error) {
-	if err := wf.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	var plan *Plan
-	var err error
 	if opts.DisablePlan {
 		plan = degeneratePlan(wf)
 	} else {
@@ -352,6 +316,15 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 			return nil, err
 		}
 	}
+	cluster, err := buildCluster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			cluster.Close()
+		}
+	}()
 	cm := cluster.CM
 	e := &Engine{
 		Cluster:    cluster,
@@ -368,20 +341,6 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 	}
 	if opts.Admission != nil {
 		e.admitCtrl = admit.NewController(*opts.Admission)
-	}
-	// Per-run page-cache/readahead knobs (zero value keeps the cluster
-	// defaults wired by NewCluster).
-	for _, k := range cluster.Kernels {
-		if opts.NoPageCache {
-			k.EnablePageCache(0)
-		} else if opts.PageCacheBytes > 0 {
-			k.EnablePageCache(opts.PageCacheBytes)
-		}
-		if opts.NoReadahead {
-			k.SetReadahead(0)
-		} else if opts.ReadaheadWindow > 0 {
-			k.SetReadahead(opts.ReadaheadWindow)
-		}
 	}
 	// Replication + leases: machine i replicates to the next reps machines
 	// (ring placement), every kernel tracks peer liveness, and a lease
@@ -414,7 +373,7 @@ func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods i
 	if opts.ZeroNetwork && e.store != nil {
 		e.store = transport.NewZeroCostStore()
 	}
-	for i := 0; i < pods; i++ {
+	for i := 0; i < cfg.Pods; i++ {
 		m := cluster.Machines[i%len(cluster.Machines)]
 		p := &Pod{
 			ID: i, Machine: m, Kernel: cluster.Kernels[int(m.ID())],
@@ -545,7 +504,7 @@ func (e *Engine) startRequest(tenant string, deadline simtime.Time, done func(Ru
 			e.queue = append(e.queue, &invocation{req: req, node: nodeKey{src, i}})
 		}
 	}
-	if e.MaxRegLifetime > 0 {
+	if e.opts.MaxRegLifetime > 0 {
 		e.startLeaseScanners()
 	}
 	if e.opts.AutoscaleIdle > 0 {
@@ -685,12 +644,12 @@ func (e *Engine) startLeaseScanners() {
 		return
 	}
 	e.scannersLive = true
-	period := e.MaxRegLifetime
+	period := e.opts.MaxRegLifetime
 	live := len(e.Cluster.Kernels)
 	for _, k := range e.Cluster.Kernels {
 		k := k
 		e.Cluster.Sim.Every(e.Cluster.Sim.Now().Add(period), period, func() bool {
-			k.ScanExpired(e.MaxRegLifetime)
+			k.ScanExpired(period)
 			// Stop once there is nothing left to watch, so the
 			// simulator's event queue can drain; Submit re-arms.
 			if k.Registrations() == 0 {

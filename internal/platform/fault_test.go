@@ -12,11 +12,10 @@ import (
 
 func TestLeaseScanReclaimsAfterCoordinatorFailure(t *testing.T) {
 	e, err := NewEngine(pipelineWorkflow(500), ModeRMMAP,
-		Options{DropReclamation: true}, smallCluster())
+		Options{DropReclamation: true, MaxRegLifetime: 200 * simtime.Millisecond}, smallCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.MaxRegLifetime = 200 * simtime.Millisecond
 	// Run() drains the simulator: with the coordinator's reclamation
 	// dropped, the run only finishes once the pods' lease scanners have
 	// swept the orphaned registrations (maximum lifetime + grace).

@@ -1,7 +1,10 @@
 package platform
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 
 	"rmmap/internal/admit"
 	"rmmap/internal/kernel"
@@ -40,6 +43,43 @@ func (m Mode) String() string {
 		return modeNames[m]
 	}
 	return "mode(?)"
+}
+
+// modeAliases are the short spellings the CLIs accept next to the
+// canonical Mode.String() names.
+var modeAliases = map[string]Mode{
+	"pocket":         ModeStoragePocket,
+	"storage-pocket": ModeStoragePocket,
+	"rdma":           ModeStorageDrTM,
+	"drtm":           ModeStorageDrTM,
+	"storage-rdma":   ModeStorageDrTM,
+	"storage-drtm":   ModeStorageDrTM,
+	"prefetch":       ModeRMMAPPrefetch,
+	"rmmap-prefetch": ModeRMMAPPrefetch,
+}
+
+// ParseMode resolves a mode name, case-insensitively: a Mode.String()
+// name or one of its aliases (pocket, rdma, drtm, prefetch, and the
+// hyphenated storage-pocket, storage-rdma, storage-drtm, rmmap-prefetch).
+func ParseMode(s string) (Mode, error) {
+	want := strings.ToLower(s)
+	if m, ok := modeAliases[want]; ok {
+		return m, nil
+	}
+	var names []string
+	for _, m := range AllModes() {
+		if m.String() == want {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	aliases := make([]string, 0, len(modeAliases))
+	for a := range modeAliases {
+		aliases = append(aliases, a)
+	}
+	sort.Strings(aliases)
+	return 0, fmt.Errorf("platform: unknown mode %q; known: %s (aliases: %s)",
+		s, strings.Join(names, ", "), strings.Join(aliases, ", "))
 }
 
 // IsRMMAP reports whether the mode uses remote memory map.
@@ -111,9 +151,12 @@ type Options struct {
 	ForwardRemote bool
 	// DropReclamation injects a coordinator failure: finished states are
 	// never explicitly deregistered, so only the pods' lease scanners
-	// (§4.2) reclaim registered memory. Requires MaxRegLifetime on the
-	// engine for cleanup to happen.
+	// (§4.2) reclaim registered memory. Requires MaxRegLifetime for
+	// cleanup to happen.
 	DropReclamation bool
+	// MaxRegLifetime drives the pods' lease scanners (§4.2): every period
+	// each kernel reclaims registrations older than this. 0 disables them.
+	MaxRegLifetime simtime.Duration
 	// Recovery enables the failure-handling ladder (retry → degradation →
 	// re-execution, see RecoveryPolicy). nil means any transfer failure
 	// fails the request — the negative control for the chaos experiments.
@@ -135,25 +178,10 @@ type Options struct {
 	// frames to this many backup machines (clipped to machines-1) and
 	// turns on lease-based liveness tracking: consumers of a crashed
 	// producer fail over to a replica instead of waiting for
-	// re-execution. 0 disables replication (the seed behaviour).
+	// re-execution. 0 disables replication and leases (the seed behaviour,
+	// and the abl-failover control arm that must recover via re-execution
+	// alone).
 	Replicas int
-	// NoReplication forces replication and leases off even when Replicas
-	// is set — the control arm of the abl-failover experiment, which must
-	// recover via re-execution alone.
-	NoReplication bool
-	// NoPageCache disables the machine-level remote page cache (the
-	// fan-out ablation's negative control); default is enabled with
-	// kernel.DefaultPageCacheBytes.
-	NoPageCache bool
-	// PageCacheBytes overrides the per-machine page-cache byte budget
-	// (0 = kernel.DefaultPageCacheBytes).
-	PageCacheBytes int64
-	// NoReadahead disables fault-coalescing readahead; default is an
-	// adaptive window capped at kernel.DefaultReadaheadMax pages.
-	NoReadahead bool
-	// ReadaheadWindow overrides the maximum readahead window in pages
-	// (0 = kernel.DefaultReadaheadMax).
-	ReadaheadWindow int
 	// RackLocal enables rack-locality-aware placement on multi-rack
 	// clusters: an invocation whose first input arrives by rmap prefers a
 	// free pod in the producer's rack, so demand faults stay under one
@@ -194,7 +222,7 @@ func (o Options) smallThreshold() int {
 
 // replicas resolves the effective backup count on an n-machine cluster.
 func (o Options) replicas(machines int) int {
-	if o.NoReplication || o.Replicas <= 0 {
+	if o.Replicas <= 0 {
 		return 0
 	}
 	r := o.Replicas

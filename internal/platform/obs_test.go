@@ -73,8 +73,7 @@ func TestPublishRunMatchesMeter(t *testing.T) {
 // the final cumulative value, not the sum of prefix sums.
 func TestPublishSequentialRunsDeltas(t *testing.T) {
 	reg := obs.NewRegistry()
-	cl := NewCluster(2, simtime.DefaultCostModel())
-	e, err := NewEngineOn(cl, cacheFanWorkflow(4, 2048), ModeRMMAP, Options{Obs: reg}, 12)
+	e, err := NewEngine(cacheFanWorkflow(4, 2048), ModeRMMAP, Options{Obs: reg}, ClusterConfig{Machines: 2, Pods: 12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@ import (
 //
 //  1. transport retries — transient faults are retried with capped
 //     exponential backoff inside the chaos cluster's retry transport,
-//     charged to simtime.CatRetry (configured by Retry, applied by
-//     NewChaosCluster);
+//     charged to simtime.CatRetry (configured by Retry, applied through
+//     ClusterConfig.Chaos);
 //  2. partition wait — a transfer that failed because the link is
 //     partitioned (faults.ErrPartitioned) parks the whole invocation and
 //     retries it after PartitionWait: the state is unreachable, not lost,

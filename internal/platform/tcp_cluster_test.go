@@ -1,27 +1,18 @@
 package platform
 
-import (
-	"testing"
-
-	"rmmap/internal/simtime"
-)
+import "testing"
 
 // TestWorkflowOverRealSockets runs a complete rmap workflow on a cluster
 // whose machines are connected by actual TCP sockets: every page-table
 // fetch and remote page read crosses a real network boundary, and the
 // result must match the in-process fabric bit for bit.
 func TestWorkflowOverRealSockets(t *testing.T) {
-	cm := simtime.DefaultCostModel()
-	cluster, closeCluster, err := NewClusterTCP(3, cm)
+	e, err := NewEngine(pipelineWorkflow(2000), ModeRMMAPPrefetch, Options{},
+		ClusterConfig{Machines: 3, Pods: 6, AllTCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeCluster()
-
-	e, err := NewEngineOn(cluster, pipelineWorkflow(2000), ModeRMMAPPrefetch, Options{}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer e.Cluster.Close()
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -52,16 +43,12 @@ func TestWorkflowOverRealSockets(t *testing.T) {
 }
 
 func TestTCPClusterFanOut(t *testing.T) {
-	cm := simtime.DefaultCostModel()
-	cluster, closeCluster, err := NewClusterTCP(4, cm)
+	e, err := NewEngine(fanWorkflow(8), ModeRMMAP, Options{},
+		ClusterConfig{Machines: 4, Pods: 12, AllTCP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closeCluster()
-	e, err := NewEngineOn(cluster, fanWorkflow(8), ModeRMMAP, Options{}, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer e.Cluster.Close()
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)

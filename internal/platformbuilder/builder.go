@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"rmmap/internal/faults"
 	"rmmap/internal/memsim"
 	"rmmap/internal/platform"
 	"rmmap/internal/rdma"
@@ -24,20 +23,22 @@ var (
 
 // Builder composes a cluster programmatically — the code-as-configuration
 // entry point (PLATFORMS.md). Methods return the builder for chaining;
-// errors accumulate and surface at Build/Spec, so a recipe reads as one
+// errors accumulate and surface at Config, so a recipe reads as one
 // expression:
 //
-//	cl, err := platformbuilder.NewBuilder().
+//	cfg, err := platformbuilder.NewBuilder().
 //	        WithRacks(4).WithMachinesPerRack(8).
 //	        WithToRLinks(250*simtime.Nanosecond, 12.5).
 //	        WithSpine(2*simtime.Microsecond, 3.125).
 //	        WithFabric(3, rdma.FabricTCP).
 //	        WithStraggler(7, 3.0).
-//	        Build()
+//	        Config()
+//	cfg.Pods = 64
+//	e, err := platform.NewEngine(wf, mode, opts, cfg)
 //
 // A one-rack build with no link spec, stragglers, or TCP racks compiles to
-// a flat platform.ClusterSpec with a nil topology — byte-identical to the
-// classic platform.NewCluster output by construction.
+// a flat platform.ClusterConfig with a nil topology — byte-identical to
+// the classic flat cluster by construction.
 type Builder struct {
 	name      string
 	racks     int
@@ -49,9 +50,6 @@ type Builder struct {
 	fabrics   map[int]rdma.FabricKind
 	crossTCP  bool
 	straggler []stragglerDecl
-	cm        *simtime.CostModel
-	chaos     *faults.Plan
-	retry     faults.RetryPolicy
 	err       error
 }
 
@@ -177,20 +175,6 @@ func (b *Builder) WithStraggler(machine int, mult float64) *Builder {
 	return b
 }
 
-// WithCostModel overrides the cost model (nil keeps the default).
-func (b *Builder) WithCostModel(cm *simtime.CostModel) *Builder {
-	b.cm = cm
-	return b
-}
-
-// WithChaos wires the seeded fault injector and retrying transport, like
-// platform.NewChaosCluster, outside the topology wrap.
-func (b *Builder) WithChaos(plan faults.Plan, retry faults.RetryPolicy) *Builder {
-	b.chaos = &plan
-	b.retry = retry
-	return b
-}
-
 // rackAssignment compiles the machine→rack map: explicit placements win;
 // otherwise the uniform grid (racks × perRack, contiguous blocks).
 func (b *Builder) rackAssignment() ([]int, error) {
@@ -230,21 +214,22 @@ func (b *Builder) rackAssignment() ([]int, error) {
 }
 
 // topoNeeded reports whether this build carries any topology semantics; a
-// build without them compiles to a flat spec (nil topology) so one-rack
+// build without them compiles to a flat config (nil topology) so one-rack
 // platforms stay byte-identical to the classic cluster.
 func (b *Builder) topoNeeded() bool {
 	return b.racks > 1 || b.linksSet || b.crossTCP || len(b.straggler) > 0 || len(b.fabrics) > 0
 }
 
-// Spec validates the builder and compiles it to a platform.ClusterSpec —
-// the declarative form BuildCluster and the engine consume.
-func (b *Builder) Spec() (platform.ClusterSpec, error) {
+// Config validates the builder and compiles its shape (machines and
+// topology) to a platform.ClusterConfig; the caller adds pods and any run
+// knobs (chaos, cache sizes) before handing it to platform.NewEngine.
+func (b *Builder) Config() (platform.ClusterConfig, error) {
 	if b.err != nil {
-		return platform.ClusterSpec{}, b.err
+		return platform.ClusterConfig{}, b.err
 	}
 	rackOf, err := b.rackAssignment()
 	if err != nil {
-		return platform.ClusterSpec{}, err
+		return platform.ClusterConfig{}, err
 	}
 	counts := make([]int, b.racks)
 	for _, r := range rackOf {
@@ -252,26 +237,26 @@ func (b *Builder) Spec() (platform.ClusterSpec, error) {
 	}
 	for r, c := range counts {
 		if c == 0 {
-			return platform.ClusterSpec{}, fmt.Errorf("platformbuilder: rack %d has no machines", r)
+			return platform.ClusterConfig{}, fmt.Errorf("platformbuilder: rack %d has no machines", r)
 		}
 	}
 	for rack := range b.fabrics {
 		if rack >= b.racks {
-			return platform.ClusterSpec{}, fmt.Errorf("platformbuilder: fabric on unknown rack %d (%d racks)", rack, b.racks)
+			return platform.ClusterConfig{}, fmt.Errorf("platformbuilder: fabric on unknown rack %d (%d racks)", rack, b.racks)
 		}
 	}
 	for _, s := range b.straggler {
 		if s.machine >= len(rackOf) {
-			return platform.ClusterSpec{}, fmt.Errorf("platformbuilder: straggler on unknown machine %d (%d machines)", s.machine, len(rackOf))
+			return platform.ClusterConfig{}, fmt.Errorf("platformbuilder: straggler on unknown machine %d (%d machines)", s.machine, len(rackOf))
 		}
 	}
-	spec := platform.ClusterSpec{Machines: len(rackOf), CM: b.cm, Chaos: b.chaos, Retry: b.retry}
+	cfg := platform.ClusterConfig{Machines: len(rackOf)}
 	if !b.topoNeeded() {
-		return spec, nil
+		return cfg, nil
 	}
 	topo, err := rdma.NewTopology(rackOf, b.tor, b.spine)
 	if err != nil {
-		return platform.ClusterSpec{}, err
+		return platform.ClusterConfig{}, err
 	}
 	// Deterministic wiring order regardless of map iteration.
 	rackKeys := make([]int, 0, len(b.fabrics))
@@ -286,17 +271,8 @@ func (b *Builder) Spec() (platform.ClusterSpec, error) {
 	for _, s := range b.straggler {
 		topo.SetStraggler(memsim.MachineID(s.machine), s.mult)
 	}
-	spec.Topo = topo
-	return spec, nil
-}
-
-// Build compiles and assembles the cluster.
-func (b *Builder) Build() (*platform.Cluster, error) {
-	spec, err := b.Spec()
-	if err != nil {
-		return nil, err
-	}
-	return platform.BuildCluster(spec)
+	cfg.Topo = topo
+	return cfg, nil
 }
 
 // Machines reports how many machines the build will have (0 on error).

@@ -10,9 +10,9 @@ import (
 	"rmmap/internal/simtime"
 )
 
-func specErr(t *testing.T, b *Builder) string {
+func configErr(t *testing.T, b *Builder) string {
 	t.Helper()
-	_, err := b.Spec()
+	_, err := b.Config()
 	if err == nil {
 		t.Fatal("expected a validation error, got none")
 	}
@@ -43,7 +43,7 @@ func TestBuilderValidationErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := specErr(t, c.b); got != c.want {
+			if got := configErr(t, c.b); got != c.want {
 				t.Errorf("error = %q, want %q", got, c.want)
 			}
 		})
@@ -51,23 +51,17 @@ func TestBuilderValidationErrors(t *testing.T) {
 }
 
 func TestFlatBuildHasNoTopology(t *testing.T) {
-	spec, err := Flat(4).Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Topo != nil {
-		t.Error("flat build attached a topology; one-rack builds must compile to the trivial flat spec")
-	}
-	if spec.Machines != 4 {
-		t.Errorf("machines = %d, want 4", spec.Machines)
-	}
-	cl, err := Flat(4).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if cl.Topo != nil {
-		t.Error("flat cluster has non-nil Topo")
+	for _, arg := range []string{"", "flat"} {
+		cfg, name, err := Resolve(arg, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name != "flat" {
+			t.Errorf("Resolve(%q) name = %q, want flat", arg, name)
+		}
+		if cfg != (platform.ClusterConfig{Machines: 4, Pods: 8}) {
+			t.Errorf("Resolve(%q) = %+v; one-rack builds must compile to the trivial flat config", arg, cfg)
+		}
 	}
 }
 
@@ -85,30 +79,30 @@ func TestRecipes(t *testing.T) {
 		if b.Machines() != 8 {
 			t.Errorf("%s: machines = %d, want 8", name, b.Machines())
 		}
-		spec, err := b.Spec()
+		cfg, err := b.Config()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if name == "flat" {
-			if spec.Topo != nil {
+			if cfg.Topo != nil {
 				t.Errorf("flat recipe attached a topology")
 			}
 			continue
 		}
-		if spec.Topo == nil {
+		if cfg.Topo == nil {
 			t.Fatalf("%s: no topology", name)
 		}
 	}
 	sl, _ := Recipe("spine-leaf", 8)
-	spec, _ := sl.Spec()
-	if spec.Topo.Racks() != 4 {
-		t.Errorf("spine-leaf racks = %d, want 4", spec.Topo.Racks())
+	cfg, _ := sl.Config()
+	if cfg.Topo.Racks() != 4 {
+		t.Errorf("spine-leaf racks = %d, want 4", cfg.Topo.Racks())
 	}
 	// Contiguous block placement: machines 0,1 in rack 0, 6,7 in rack 3.
-	if r := spec.Topo.RackOf(1); r != 0 {
+	if r := cfg.Topo.RackOf(1); r != 0 {
 		t.Errorf("machine 1 in rack %d, want 0", r)
 	}
-	if r := spec.Topo.RackOf(7); r != 3 {
+	if r := cfg.Topo.RackOf(7); r != 3 {
 		t.Errorf("machine 7 in rack %d, want 3", r)
 	}
 	if _, err := Recipe("nope", 4); err == nil || !strings.Contains(err.Error(), "unknown recipe") {
@@ -159,21 +153,22 @@ func chainWorkflow(producer, consumer int, elems int) *platform.Workflow {
 
 func runChain(t *testing.T, b *Builder, producer, consumer int) (platform.RunResult, *platform.Cluster) {
 	t.Helper()
-	cl, err := b.Build()
+	cfg, err := b.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(cl.Close)
-	e, err := platform.NewEngineOn(cl, chainWorkflow(producer, consumer, 16384),
-		platform.ModeRMMAP, platform.Options{}, 2*len(cl.Machines))
+	cfg.Pods = 2 * cfg.Machines
+	e, err := platform.NewEngine(chainWorkflow(producer, consumer, 16384),
+		platform.ModeRMMAP, platform.Options{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(e.Cluster.Close)
 	res, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, cl
+	return res, e.Cluster
 }
 
 func TestCrossRackCostsMoreThanIntraRack(t *testing.T) {

@@ -103,7 +103,7 @@ func ParseTopology(data []byte) (*Builder, error) {
 	}
 	// Compile once so structural errors (sparse ids, straggler on unknown
 	// machine) surface at load time, not first use.
-	if _, err := b.Spec(); err != nil {
+	if _, err := b.Config(); err != nil {
 		return nil, err
 	}
 	return b, nil

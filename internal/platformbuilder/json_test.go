@@ -28,11 +28,11 @@ func TestParseTopology(t *testing.T) {
 	if b.Name() != "mini-pod" {
 		t.Errorf("name = %q", b.Name())
 	}
-	spec, err := b.Spec()
+	cfg, err := b.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := spec.Topo
+	topo := cfg.Topo
 	if topo == nil {
 		t.Fatal("no topology compiled")
 	}
@@ -79,12 +79,12 @@ func TestParseTopologyPositionalErrors(t *testing.T) {
 }
 
 func TestResolve(t *testing.T) {
-	b, err := Resolve("two-rack", 6)
+	cfg, name, err := Resolve("two-rack", 6, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "two-rack" || b.Machines() != 6 {
-		t.Errorf("recipe resolve: name=%q machines=%d", b.Name(), b.Machines())
+	if name != "two-rack" || cfg.Machines != 6 || cfg.Pods != 12 || cfg.Topo == nil {
+		t.Errorf("recipe resolve: name=%q config=%+v", name, cfg)
 	}
 
 	dir := t.TempDir()
@@ -92,17 +92,17 @@ func TestResolve(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sampleTopology), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b, err = Resolve(path, 0)
+	cfg, name, err = Resolve(path, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Machines() != 4 {
-		t.Errorf("file resolve machines = %d, want 4", b.Machines())
+	if name != "mini-pod" || cfg.Machines != 4 {
+		t.Errorf("file resolve: name=%q machines=%d, want mini-pod/4", name, cfg.Machines)
 	}
-	if _, err := Resolve(path, 8); err == nil || !strings.Contains(err.Error(), "defines 4 machines, run asked for 8") {
+	if _, _, err := Resolve(path, 8, 0); err == nil || !strings.Contains(err.Error(), "defines 4 machines, run asked for 8") {
 		t.Errorf("machine-count conflict error = %v", err)
 	}
-	if _, err := Resolve(filepath.Join(dir, "missing.json"), 0); err == nil {
+	if _, _, err := Resolve(filepath.Join(dir, "missing.json"), 0, 0); err == nil {
 		t.Error("missing file did not error")
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"rmmap/internal/platform"
 )
 
 // A recipe is a named platform shape, parameterized by machine count so
@@ -12,45 +14,44 @@ import (
 // contiguous blocks (rack 0 gets the first ⌈N/R⌉ IDs and so on), so a
 // recipe's rack membership is obvious from the machine ID alone.
 type recipe struct {
-	racks    int
-	describe string
-	build    func(b *Builder, machines int) *Builder
+	racks int
+	build func(b *Builder, machines int) *Builder
 }
 
 var recipes = map[string]recipe{
+	// One rack, uniform link cost — the classic pre-topology cluster.
 	"flat": {
-		racks:    1,
-		describe: "one rack, uniform link cost — the classic pre-topology cluster",
-		build:    func(b *Builder, machines int) *Builder { return b },
+		racks: 1,
+		build: func(b *Builder, machines int) *Builder { return b },
 	},
+	// Two racks behind one spine hop, default 100 Gbps ToR / oversubscribed 6.4 Gbps spine links.
 	"two-rack": {
-		racks:    2,
-		describe: "two racks behind one spine hop, default 100 Gbps ToR / oversubscribed 6.4 Gbps spine links",
+		racks: 2,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps)
 		},
 	},
+	// Four racks in a leaf-spine fabric with an oversubscribed spine.
 	"spine-leaf": {
-		racks:    4,
-		describe: "four racks in a leaf-spine fabric with an oversubscribed spine",
+		racks: 4,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps)
 		},
 	},
+	// Spine-leaf with mixed fabrics: in-process intra-rack, real loopback TCP cross-rack.
 	"spine-leaf-tcp": {
-		racks:    4,
-		describe: "spine-leaf with mixed fabrics: in-process intra-rack, real loopback TCP cross-rack",
+		racks: 4,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps).
 				WithCrossRackTCP()
 		},
 	},
+	// Two racks with the last machine a 3× straggler.
 	"straggler": {
-		racks:    2,
-		describe: "two racks with the last machine a 3× straggler",
+		racks: 2,
 		build: func(b *Builder, machines int) *Builder {
 			return b.WithToRLinks(DefaultToRLink.Hop, DefaultToRLink.GBps).
 				WithSpine(DefaultSpineLink.Hop, DefaultSpineLink.GBps).
@@ -59,8 +60,7 @@ var recipes = map[string]recipe{
 	},
 }
 
-// Recipes lists recipe names in sorted order with one-line descriptions,
-// for CLI -topology help text.
+// Recipes lists recipe names in sorted order, for CLI -topology help text.
 func Recipes() []string {
 	names := make([]string, 0, len(recipes))
 	for n := range recipes {
@@ -68,15 +68,6 @@ func Recipes() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// RecipeHelp returns one "name — description" line per recipe.
-func RecipeHelp() string {
-	var b strings.Builder
-	for _, n := range Recipes() {
-		fmt.Fprintf(&b, "  %-15s %s\n", n, recipes[n].describe)
-	}
-	return b.String()
 }
 
 // Recipe returns a fresh builder for a named recipe sized to machines
@@ -104,27 +95,30 @@ func Recipe(name string, machines int) (*Builder, error) {
 	return b, nil
 }
 
-// Resolve interprets a CLI -topology argument: a recipe name, or a path to
-// a JSON topology file (anything containing a path separator or ending in
-// .json). The machines hint sizes recipes; files carry their own machine
-// sets and reject a conflicting hint.
-func Resolve(arg string, machines int) (*Builder, error) {
-	if strings.HasSuffix(arg, ".json") || strings.ContainsAny(arg, "/\\") {
-		b, err := LoadTopologyFile(arg)
-		if err != nil {
-			return nil, err
-		}
-		if machines > 0 && b.Machines() != machines {
-			return nil, fmt.Errorf("platformbuilder: topology file %s defines %d machines, run asked for %d", arg, b.Machines(), machines)
-		}
-		return b, nil
+// Resolve interprets a CLI -topology argument — "" for the flat cluster, a
+// recipe name, or a path to a JSON topology file (anything containing a
+// path separator or ending in .json) — into the cluster config of a run
+// with the given pod count, plus the shape's name for reports. The
+// machines hint sizes recipes; files carry their own machine sets and
+// reject a conflicting hint.
+func Resolve(arg string, machines, pods int) (platform.ClusterConfig, string, error) {
+	if arg == "" {
+		arg = "flat"
 	}
-	return Recipe(arg, machines)
-}
-
-// Flat returns the trivial one-rack build for n machines — what every
-// pre-topology call site means by "a cluster".
-func Flat(n int) *Builder {
-	b, _ := Recipe("flat", n)
-	return b
+	var b *Builder
+	var err error
+	if strings.HasSuffix(arg, ".json") || strings.ContainsAny(arg, "/\\") {
+		b, err = LoadTopologyFile(arg)
+		if err == nil && machines > 0 && b.Machines() != machines {
+			err = fmt.Errorf("platformbuilder: topology file %s defines %d machines, run asked for %d", arg, b.Machines(), machines)
+		}
+	} else {
+		b, err = Recipe(arg, machines)
+	}
+	if err != nil {
+		return platform.ClusterConfig{}, "", err
+	}
+	cfg, err := b.Config()
+	cfg.Pods = pods
+	return cfg, b.Name(), err
 }

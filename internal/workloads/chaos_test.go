@@ -26,9 +26,8 @@ func transientPlan() faults.Plan {
 func runChaosWorkflow(t *testing.T, wf *platform.Workflow, plan faults.Plan) platform.RunResult {
 	t.Helper()
 	rec := platform.DefaultRecoveryPolicy()
-	cluster := platform.NewChaosCluster(4, simtime.DefaultCostModel(), plan, rec.Retry)
-	e, err := platform.NewEngineOn(cluster, wf, platform.ModeRMMAPPrefetch,
-		platform.Options{Trace: true, Recovery: rec}, 16)
+	e, err := platform.NewEngine(wf, platform.ModeRMMAPPrefetch, platform.Options{Trace: true, Recovery: rec},
+		platform.ClusterConfig{Machines: 4, Pods: 16, Chaos: &plan, Retry: rec.Retry})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@
 //
 // Quick start — two machines, one state, zero serialization:
 //
-//	cluster := rmmap.NewCluster(2, rmmap.DefaultCostModel())
-//	engine, _ := rmmap.NewEngineOn(cluster, workflow, rmmap.ModeRMMAPPrefetch, rmmap.Options{}, 4)
+//	engine, _ := rmmap.NewEngine(workflow, rmmap.ModeRMMAPPrefetch, rmmap.Options{},
+//		rmmap.ClusterConfig{Machines: 2, Pods: 4})
 //	result, _ := engine.Run()
 //
 // See examples/ for complete programs and DESIGN.md for the architecture.
@@ -190,7 +190,7 @@ type (
 	Engine = platform.Engine
 	// Cluster is the physical substrate (machines + kernels + clock).
 	Cluster = platform.Cluster
-	// ClusterConfig sizes a cluster.
+	// ClusterConfig describes a cluster: size, shape, chaos, cache knobs.
 	ClusterConfig = platform.ClusterConfig
 	// Mode selects the state-transfer mechanism.
 	Mode = platform.Mode
@@ -219,23 +219,11 @@ const (
 	ModeRMMAPPrefetch = platform.ModeRMMAPPrefetch
 )
 
-// NewCluster builds n machines with RMMAP kernels on a shared fabric.
-func NewCluster(n int, cm *CostModel) *Cluster { return platform.NewCluster(n, cm) }
-
-// NewClusterTCP builds a cluster connected over real loopback sockets.
-func NewClusterTCP(n int, cm *CostModel) (*Cluster, func(), error) {
-	return platform.NewClusterTCP(n, cm)
-}
-
 // NewEngine builds an engine for one workflow and transfer mode on a
-// fresh cluster.
+// fresh cluster assembled from cfg (ClusterConfig.AllTCP puts the machines
+// on real loopback sockets; close engine.Cluster afterwards).
 func NewEngine(wf *Workflow, mode Mode, opts Options, cfg ClusterConfig) (*Engine, error) {
 	return platform.NewEngine(wf, mode, opts, cfg)
-}
-
-// NewEngineOn builds an engine on an existing cluster.
-func NewEngineOn(cluster *Cluster, wf *Workflow, mode Mode, opts Options, pods int) (*Engine, error) {
-	return platform.NewEngineOn(cluster, wf, mode, opts, pods)
 }
 
 // GeneratePlan produces the static per-instance address plan (§4.2).
