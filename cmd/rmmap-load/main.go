@@ -14,6 +14,11 @@
 //	           [-curve 0.25,0.5,1,2,4] [-save-trace t.jsonl | -trace t.jsonl]
 //	           [-json BENCH_scale.json]
 //
+// -trace replays a saved schedule as is: the report's horizon (last
+// arrival + 1) and tenant count come from the trace, not from the
+// generator flags, and -curve is rejected with it (the curve regenerates
+// its schedules from those flags). A trace with no arrivals is an error.
+//
 // The whole run happens in virtual time: the report is byte-identical
 // across -workers settings and across repeated runs, which the
 // determinism suite (internal/bench) enforces.

@@ -6,8 +6,9 @@
 // rmmap-chaos -ctrl-journal, DESIGN.md §13, §15): each shard's snapshot is
 // loaded, its journal tail replayed, and every journaled address-plan slot
 // — across ALL shards — checked against the same disjointness rule
-// Plan.Validate enforces at issuance. Both the legacy single-coordinator
-// save and the sharded "RMCSHRD1" container are accepted. A violation
+// Plan.Validate enforces at issuance. The file is the "RMCSHRD1" save
+// container (a single-coordinator plane writes one shard); anything else
+// is rejected as corrupt. A violation
 // prints the offending slots (naming their shards) and exits non-zero —
 // the post-hoc proof that no shard crash/recovery or mis-routed issuance
 // ever journaled overlapping address ranges.
@@ -91,7 +92,7 @@ func main() {
 	tw.Flush()
 }
 
-// runVerify audits a coordinator save file (either format): per-shard
+// runVerify audits a coordinator save file: per-shard
 // summary, then the cross-shard disjointness check over the union of
 // every shard's journaled slots. Returns the process exit code: 0 clean,
 // 1 unreadable, 2 plan invalid.

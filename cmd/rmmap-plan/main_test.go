@@ -10,10 +10,11 @@ import (
 	"rmmap/internal/simtime"
 )
 
-// TestVerifySlotsRoundTrip journals a disjoint plan, saves the durable
-// image, reloads it the way -verify does, and expects a clean audit.
+// TestVerifySlotsRoundTrip journals a disjoint plan on a single-coordinator
+// plane, saves the durable image (a one-shard container), reloads it the
+// way -verify does, and expects a clean audit.
 func TestVerifySlotsRoundTrip(t *testing.T) {
-	c := ctrl.New(simtime.DefaultCostModel())
+	c := ctrl.NewSharded(simtime.DefaultCostModel(), 1)
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,15 +28,22 @@ func TestVerifySlotsRoundTrip(t *testing.T) {
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	st, replayed, err := ctrl.LoadStateFile(path)
+	states, err := ctrl.LoadShardStatesFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed == 0 || len(st.Slots) != 2 {
-		t.Fatalf("replayed=%d slots=%d, want a replayed 2-slot journal", replayed, len(st.Slots))
+	if len(states) != 1 || states[0].Replayed == 0 || len(states[0].State.Slots) != 2 {
+		t.Fatalf("loaded %+v, want one replayed 2-slot journal", states)
 	}
-	if err := verifySlots(st.Slots); err != nil {
+	if err := verifySlots(states[0].State.Slots); err != nil {
 		t.Fatalf("disjoint plan failed verification: %v", err)
+	}
+	var stdout, stderr strings.Builder
+	if code := runVerify(path, &stdout, &stderr); code != 0 {
+		t.Fatalf("runVerify exit code = %d, want 0\nstderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "plan verified: 2 journaled slots disjoint\n") {
+		t.Fatalf("single-shard verify summary missing:\n%s", stdout.String())
 	}
 }
 

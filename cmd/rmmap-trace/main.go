@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"rmmap/internal/bench"
+	"rmmap/internal/load"
 	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/platformbuilder"
@@ -110,6 +111,12 @@ func run(cfg config, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return runWorkload(cfg, builder, out)
+}
+
+// runWorkload runs one resolved workload and writes the artifacts cfg
+// asks for.
+func runWorkload(cfg config, builder bench.WorkflowBuilder, out io.Writer) error {
 	mode, err := platform.ParseMode(cfg.mode)
 	if err != nil {
 		return err
@@ -129,14 +136,15 @@ func run(cfg config, out io.Writer) error {
 	var spans []platform.Span
 	var runErr error
 	if cfg.openRate > 0 {
-		res := e.RunOpenLoop(cfg.openRate, simtime.Duration(cfg.duration.Nanoseconds()))
+		dur := simtime.Duration(cfg.duration.Nanoseconds())
+		res := load.Replay(e, load.Uniform(cfg.openRate, dur), dur)
 		fmt.Fprintf(out, "%s / %s open loop: %d requests at %.1f req/s, throughput %.1f req/s\n",
 			builder.Name, mode, res.Completed, cfg.openRate, res.Throughput())
-		if res.Errors > 0 {
+		if errs := res.Failed + res.Shed; errs > 0 {
 			// The registry already holds the completed requests' metrics;
 			// keep going so -metrics still captures them, and surface the
 			// failure as the exit status afterwards.
-			runErr = fmt.Errorf("open loop: %d of %d requests failed", res.Errors, res.Errors+res.Completed)
+			runErr = fmt.Errorf("open loop: %d of %d requests failed", errs, errs+res.Completed)
 		}
 		if res.Completed > 0 {
 			h := res.LatencyHistogram()

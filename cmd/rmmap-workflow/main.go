@@ -52,11 +52,9 @@ func main() {
 		fmt.Printf("cluster: %d machines over real TCP sockets\n", cfg.Machines)
 	}
 	for r := 0; r < *requests; r++ {
-		var res platform.RunResult
-		engine.Submit(func(out platform.RunResult) { res = out })
-		engine.Cluster.Sim.Run()
-		if res.Err != nil {
-			fmt.Fprintf(os.Stderr, "request %d failed: %v\n", r, res.Err)
+		res, err := engine.Run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "request %d failed: %v\n", r, err)
 			os.Exit(1)
 		}
 		fmt.Printf("request %d: latency %v (mode %v)\n", r, res.Latency, mode)

@@ -237,11 +237,9 @@ func runChaosScenario(t *testing.T, sc chaosScenario, workers int) runArtifacts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res platform.RunResult
-	e.Submit(func(out platform.RunResult) { res = out })
-	e.Cluster.Sim.Run()
-	if res.Err != nil {
-		t.Fatalf("%s (workers=%d): %v", sc.name, workers, res.Err)
+	res, err := e.Run()
+	if err != nil {
+		t.Fatalf("%s (workers=%d): %v", sc.name, workers, err)
 	}
 	var metrics bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&metrics); err != nil {
@@ -307,11 +305,9 @@ func runShardedCtrlCell(t *testing.T, shards, workers int, plan faults.Plan) (ru
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res platform.RunResult
-	e.Submit(func(out platform.RunResult) { res = out })
-	e.Cluster.Sim.Run()
-	if res.Err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", shards, workers, res.Err)
+	res, err := e.Run()
+	if err != nil {
+		t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
 	}
 	var metrics bytes.Buffer
 	if err := reg.Snapshot().WriteJSON(&metrics); err != nil {

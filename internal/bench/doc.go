@@ -12,8 +12,7 @@
 //     package run the fig14 WordCount cell twice and diff the bytes).
 //   - Fig 14 rows carry a per-simtime-category breakdown whose sum is at
 //     least the critical-path latency (parallelism can only raise total
-//     work), and the report embeds the metric-alias table mapping legacy
-//     RunResult field names to canonical rmmap_* metric names.
+//     work).
 //   - Scaling down (the -scale flag) shrinks inputs, never skips pipeline
 //     stages, so CI smoke runs cover the same code paths as full runs.
 //   - Every engine an experiment builds starts from RunConfig.Options(),

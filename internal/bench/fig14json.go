@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"rmmap/internal/obs"
 	"rmmap/internal/platform"
 	"rmmap/internal/platformbuilder"
 	"rmmap/internal/simtime"
@@ -54,10 +53,6 @@ type Fig14Report struct {
 	// wall-clock register/release churn rate at shard counts {1, 16}
 	// (DESIGN.md §15). Wall-clock fields are machine-dependent.
 	CtrlThroughput *CtrlRateReport `json:"ctrl_throughput,omitempty"`
-	// MetricAliases maps this report's historical JSON keys (and the
-	// RunResult fields they came from) to the canonical obs metric names —
-	// the migration table for consumers of this file.
-	MetricAliases map[string]string `json:"metric_aliases"`
 }
 
 // CollectFig14 reruns the Fig 14 grid (every evaluated workflow × every
@@ -121,7 +116,6 @@ func CollectFig14(rc RunConfig) (Fig14Report, error) {
 		return rep, err
 	}
 	rep.CtrlThroughput = &cr
-	rep.MetricAliases = obs.FieldAliases()
 	return rep, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"time"
 
+	"rmmap/internal/load"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
 	"rmmap/internal/workloads"
@@ -25,7 +26,7 @@ type OpenLoopWorkersRow struct {
 	// Speedup is the sequential row's wall-clock divided by this row's.
 	Speedup float64 `json:"speedup_vs_sequential"`
 	// VirtualMatch reports whether every virtual-time result (completions,
-	// latencies, pod samples, throughput timeline) is identical to the
+	// latencies, busy-pod samples, throughput timeline) is identical to the
 	// sequential reference. Anything but true is a determinism bug.
 	VirtualMatch bool    `json:"virtual_time_match"`
 	Completed    int     `json:"completed"`
@@ -63,16 +64,16 @@ func openLoopConfig(scale float64) (cfg workloads.MLPredictConfig, rate float64,
 
 // runOpenLoopCell runs the open-loop benchmark once and reports the load
 // result plus the host wall-clock time it took.
-func runOpenLoopCell(rc RunConfig, workers int) (platform.LoadResult, time.Duration, error) {
+func runOpenLoopCell(rc RunConfig, workers int) (load.Result, time.Duration, error) {
 	cfg, rate, dur := openLoopConfig(rc.Scale)
 	opts := rc.Options()
 	opts.Workers = workers
 	start := time.Now()
 	e, err := platform.NewEngine(workloads.MLPredict(cfg), platform.ModeRMMAPPrefetch, opts, platform.DefaultClusterConfig())
 	if err != nil {
-		return platform.LoadResult{}, 0, err
+		return load.Result{}, 0, err
 	}
-	res := e.RunOpenLoop(rate, dur)
+	res := load.Replay(e, load.Uniform(rate, dur), dur)
 	return res, time.Since(start), nil
 }
 
@@ -87,7 +88,7 @@ func CollectOpenLoop(rc RunConfig, workerCounts []int) (OpenLoopReport, error) {
 		RateRS:     rate,
 		DurationNs: int64(dur),
 	}
-	var ref platform.LoadResult
+	var ref load.Result
 	var refWall time.Duration
 	for i, w := range workerCounts {
 		res, wall, err := runOpenLoopCell(rc, w)
@@ -103,7 +104,7 @@ func CollectOpenLoop(rc RunConfig, workerCounts []int) (OpenLoopReport, error) {
 			Speedup:      float64(refWall) / float64(wall),
 			VirtualMatch: reflect.DeepEqual(res, ref),
 			Completed:    res.Completed,
-			Errors:       res.Errors,
+			Errors:       res.Failed + res.Shed,
 			ThroughputRS: res.Throughput(),
 			P50Ns:        int64(res.Percentile(0.5)),
 			P99Ns:        int64(res.Percentile(0.99)),

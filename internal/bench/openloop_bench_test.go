@@ -26,8 +26,8 @@ func BenchmarkOpenLoopFig14(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.Errors > 0 {
-					b.Fatalf("%d failed requests", res.Errors)
+				if errs := res.Failed + res.Shed; errs > 0 {
+					b.Fatalf("%d failed requests", errs)
 				}
 			}
 		})

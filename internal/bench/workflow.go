@@ -6,6 +6,7 @@ import (
 
 	"time"
 
+	"rmmap/internal/load"
 	"rmmap/internal/objrt"
 	"rmmap/internal/platform"
 	"rmmap/internal/simtime"
@@ -286,21 +287,22 @@ func runFig12(w io.Writer, rc RunConfig) error {
 	}
 
 	// Upper row: saturated throughput (closed loop, many clients).
+	cc := platform.DefaultClusterConfig()
 	t := newTable(w, "approach", "peak tput (req/s)", "p50", "p90", "p99", "avg busy pods")
 	peak := map[platform.Mode]float64{}
 	for _, mode := range platform.AllModes() {
-		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), platform.DefaultClusterConfig())
+		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), cc)
 		if err != nil {
 			return err
 		}
-		res := e.RunClosedLoop(clients, closedHorizon)
-		if res.Errors > 0 {
-			return fmt.Errorf("fig12 %v: %d errors", mode, res.Errors)
+		res := load.Closed(e, clients, closedHorizon)
+		if errs := res.Failed + res.Shed; errs > 0 {
+			return fmt.Errorf("fig12 %v: %d errors", mode, errs)
 		}
 		peak[mode] = res.Throughput()
 		t.row(mode, fmt.Sprintf("%.1f", res.Throughput()),
 			res.Percentile(0.5), res.Percentile(0.9), res.Percentile(0.99),
-			fmt.Sprintf("%.1f/%d", res.AvgBusyPods(), res.TotalPods))
+			fmt.Sprintf("%.1f/%d", res.AvgBusyPods(), cc.Pods))
 	}
 	t.flush()
 	fmt.Fprintln(w)
@@ -313,16 +315,16 @@ func runFig12(w io.Writer, rc RunConfig) error {
 	}
 	t2 := newTable(w, "approach", fmt.Sprintf("tput @ %.1f req/s", rate), "activated pods", "avg busy", "p99")
 	for _, mode := range platform.AllModes() {
-		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), platform.DefaultClusterConfig())
+		e, err := platform.NewEngine(workloads.MLPredict(cfg), mode, rc.Options(), cc)
 		if err != nil {
 			return err
 		}
-		res := e.RunOpenLoop(rate, openDur)
-		if res.Errors > 0 {
-			return fmt.Errorf("fig12 open %v: %d errors", mode, res.Errors)
+		res := load.Replay(e, load.Uniform(rate, openDur), openDur)
+		if errs := res.Failed + res.Shed; errs > 0 {
+			return fmt.Errorf("fig12 open %v: %d errors", mode, errs)
 		}
 		t2.row(mode, fmt.Sprintf("%.1f", res.Throughput()),
-			fmt.Sprintf("%d/%d", res.ActivatedPods, res.TotalPods),
+			fmt.Sprintf("%d/%d", res.ActivatedPods, cc.Pods),
 			fmt.Sprintf("%.1f", res.AvgBusyPods()), res.Percentile(0.99))
 	}
 	t2.flush()

@@ -3,7 +3,6 @@ package ctrl
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"rmmap/internal/simtime"
 )
@@ -368,18 +367,3 @@ func less(a, b RegRef) bool {
 
 // Save returns the durable image (snapshot + journal tail) as one blob.
 func (c *Coordinator) Save() []byte { return EncodeSave(c.snap, c.log) }
-
-// SaveFile writes the durable image to path (for rmmap-plan -verify and
-// rmmap-chaos -ctrl-journal).
-func (c *Coordinator) SaveFile(path string) error {
-	return os.WriteFile(path, c.Save(), 0o644)
-}
-
-// LoadStateFile rebuilds a State from a save file written by SaveFile.
-func LoadStateFile(path string) (*State, int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return LoadState(data)
-}

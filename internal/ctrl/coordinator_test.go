@@ -195,19 +195,28 @@ func TestCoordinatorReconcile(t *testing.T) {
 	}
 }
 
+// TestCoordinatorSaveFile: a single coordinator's durable image goes to
+// disk as a one-shard RMCSHRD1 container and reads back as shard 0.
 func TestCoordinatorSaveFile(t *testing.T) {
-	c := newTestCoordinator(t)
-	if err := c.IssueSlot("f", 0, 0, 4096); err != nil {
+	s := NewSharded(simtime.DefaultCostModel(), 1)
+	if err := s.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	if err := s.IssueSlot("f", 0, 0, 4096); err != nil {
 		t.Fatalf("IssueSlot: %v", err)
 	}
 	path := t.TempDir() + "/ctrl.journal"
-	if err := c.SaveFile(path); err != nil {
+	if err := s.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	st, replayed, err := LoadStateFile(path)
+	states, err := LoadShardStatesFile(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	if len(states) != 1 || states[0].Shard != 0 {
+		t.Fatalf("loaded %+v, want one state for shard 0", states)
+	}
+	st, replayed := states[0].State, states[0].Replayed
 	if replayed != 2 { // epoch + slot
 		t.Fatalf("replayed %d, want 2", replayed)
 	}

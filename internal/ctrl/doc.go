@@ -19,9 +19,9 @@
 // trigger, epoch, and deferred-op backlog, so reclamation fencing and
 // crash recovery are shard-local; Route* methods return generation-
 // fenced Tickets that go ErrStaleRoute across membership changes or the
-// target shard's crash. A single-shard plane saves the exact legacy
-// durable image; multi-shard saves frame per-shard blobs in the
-// RMCSHRD1 container, each journal stamped with its shard position.
+// target shard's crash. The durable image is always the RMCSHRD1
+// container framing per-shard blobs (a single-shard plane writes one);
+// multi-shard journals are stamped with their shard position.
 // The throughput win is algorithmic: per-shard journals stay below the
 // snapshot trigger, eliminating the single coordinator's repeated
 // O(live-registrations) compaction re-encodes.

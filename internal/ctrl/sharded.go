@@ -293,8 +293,9 @@ func (s *Sharded) ReconcileShard(i int, listings []MachineRegs) ReconcileReport 
 	return s.shards[i].Reconcile(filtered)
 }
 
-// Sharded save container. One shard saves exactly the legacy "RMCSAVE1"
-// blob; N > 1 shards nest their blobs:
+// Sharded save container, the one durable-image format. Every shard's
+// RMCSAVE1 blob (snapshot.go) is nested in shard order; a single-shard
+// plane writes nshards = 1:
 //
 //	"RMCSHRD1" | u32 nshards | nshards × (u32 len | RMCSAVE1 blob)
 const shardedMagic = "RMCSHRD1"
@@ -311,12 +312,9 @@ func EncodeShardedSave(saves [][]byte) []byte {
 	return out
 }
 
-// Save returns the durable image: the single shard's legacy blob, or the
-// sharded container.
+// Save returns the durable image: every shard's blob in the sharded
+// container.
 func (s *Sharded) Save() []byte {
-	if len(s.shards) == 1 {
-		return s.shards[0].Save()
-	}
 	saves := make([][]byte, len(s.shards))
 	for i, sh := range s.shards {
 		saves[i] = sh.Save()
@@ -337,43 +335,38 @@ type ShardState struct {
 	Replayed int
 }
 
-// LoadShardStates rebuilds every shard's State from a save blob — either
-// the legacy single-shard "RMCSAVE1" format (one entry, shard 0) or the
-// "RMCSHRD1" container.
+// LoadShardStates rebuilds every shard's State from a "RMCSHRD1" save
+// container. Anything else — a bare RMCSAVE1 blob included — and any
+// truncated or corrupt section is a *CorruptError.
 func LoadShardStates(data []byte) ([]ShardState, error) {
-	if len(data) >= len(shardedMagic) && string(data[:len(shardedMagic)]) == shardedMagic {
-		r := &bodyReader{b: data, pos: len(shardedMagic)}
-		n := int(r.u32())
-		if r.err || n <= 0 || n > 1<<16 {
-			return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: bad shard count %d", n)}
-		}
-		out := make([]ShardState, 0, n)
-		for i := 0; i < n; i++ {
-			l := int(r.u32())
-			if r.err || l < 0 || r.pos+l > len(data) {
-				return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: shard %d section truncated", i)}
-			}
-			st, replayed, err := LoadState(data[r.pos : r.pos+l])
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			r.pos += l
-			out = append(out, ShardState{Shard: i, State: st, Replayed: replayed})
-		}
-		if r.pos != len(data) {
-			return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: %d trailing bytes", len(data)-r.pos)}
-		}
-		return out, nil
+	if len(data) < len(shardedMagic) || string(data[:len(shardedMagic)]) != shardedMagic {
+		return nil, &CorruptError{Pos: 0, Reason: "sharded save: missing " + shardedMagic + " magic"}
 	}
-	st, replayed, err := LoadState(data)
-	if err != nil {
-		return nil, err
+	r := &bodyReader{b: data, pos: len(shardedMagic)}
+	n := int(r.u32())
+	if r.err || n <= 0 || n > 1<<16 {
+		return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: bad shard count %d", n)}
 	}
-	return []ShardState{{Shard: 0, State: st, Replayed: replayed}}, nil
+	out := make([]ShardState, 0, n)
+	for i := 0; i < n; i++ {
+		l := int(r.u32())
+		if r.err || l < 0 || r.pos+l > len(data) {
+			return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: shard %d section truncated", i)}
+		}
+		st, replayed, err := LoadState(data[r.pos : r.pos+l])
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
+		}
+		r.pos += l
+		out = append(out, ShardState{Shard: i, State: st, Replayed: replayed})
+	}
+	if r.pos != len(data) {
+		return nil, &CorruptError{Pos: r.pos, Reason: fmt.Sprintf("sharded save: %d trailing bytes", len(data)-r.pos)}
+	}
+	return out, nil
 }
 
-// LoadShardStatesFile reads and decodes a save file written by SaveFile
-// (either format).
+// LoadShardStatesFile reads and decodes a save file written by SaveFile.
 func LoadShardStatesFile(path string) ([]ShardState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

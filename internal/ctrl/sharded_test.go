@@ -17,7 +17,8 @@ func newSharded(n int) *Sharded {
 }
 
 // A single-shard plane must be byte-identical to the bare Coordinator:
-// same journal stream, same save blob, no shard-stamp records.
+// same journal stream, the same save blob as the container's one section,
+// no shard-stamp records.
 func TestShardedSingleMatchesCoordinator(t *testing.T) {
 	cm := simtime.DefaultCostModel()
 	s := NewSharded(cm, 1)
@@ -37,8 +38,8 @@ func TestShardedSingleMatchesCoordinator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(s.Save(), c.Save()) {
-		t.Fatal("single-shard Sharded save differs from bare Coordinator save")
+	if !bytes.Equal(s.Save(), EncodeShardedSave([][]byte{c.Save()})) {
+		t.Fatal("single-shard Sharded save differs from the bare Coordinator save in a one-shard container")
 	}
 	if s.Stats() != c.Stats() {
 		t.Fatalf("single-shard stats diverged: %+v vs %+v", s.Stats(), c.Stats())
@@ -245,8 +246,8 @@ func TestShardedReconcileIsShardLocal(t *testing.T) {
 	}
 }
 
-// Save/load round-trip in the sharded container format, and the legacy
-// single-shard format through the same loader.
+// Save/load round-trip in the sharded container format, including the
+// one-shard container a single-coordinator plane writes.
 func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	s := newSharded(4)
 	for i := 0; i < 200; i++ {
@@ -285,27 +286,37 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(states) != 1 || states[0].Shard != 0 || len(states[0].State.Regs) != 1 {
-		t.Fatalf("legacy blob loaded wrong: %+v", states)
+		t.Fatalf("one-shard container loaded wrong: %+v", states)
 	}
 	if states[0].State.ShardCount != 0 {
 		t.Fatal("single-shard save must carry no shard stamp")
 	}
 }
 
-// Corrupt sharded containers must fail loudly, not panic or half-load.
+// Corrupt sharded containers must fail loudly with a typed *CorruptError,
+// not panic or half-load; a bare RMCSAVE1 blob is not a save file.
 func TestShardedSaveCorruption(t *testing.T) {
 	s := newSharded(2)
 	blob := s.Save()
+	bare := newSharded(1).Shard(0).Save()
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
+		{"empty", nil},
+		{"bare single-coordinator blob", bare},
+		{"truncated magic", blob[:len(shardedMagic)-1]},
 		{"truncated header", blob[:len(shardedMagic)+2]},
 		{"truncated section", blob[:len(blob)-3]},
 		{"trailing bytes", append(append([]byte{}, blob...), 0xAA)},
 	} {
-		if _, err := LoadShardStates(tc.data); err == nil {
+		_, err := LoadShardStates(tc.data)
+		if err == nil {
 			t.Fatalf("%s: load succeeded on corrupt container", tc.name)
+		}
+		var ce *CorruptError
+		if !errors.As(err, &ce) {
+			t.Fatalf("%s: error %v is not a *CorruptError", tc.name, err)
 		}
 	}
 }

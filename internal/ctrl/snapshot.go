@@ -16,7 +16,8 @@ import (
 //	                         | u16 nallowed | nallowed × u64)
 //	| nplaces u32 | nplaces × (u32 pod | u32 machine)
 //
-// A save file (SaveFile / LoadState) is snapshot-then-log:
+// A save blob (Save / LoadState) is snapshot-then-log; on disk every
+// shard's blob is nested in the sharded container (sharded.go):
 //
 //	"RMCSAVE1" | u32 snapLen | snapshot | u32 logLen | journal records
 

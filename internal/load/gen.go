@@ -42,6 +42,24 @@ func (r *rng) exp(mean float64) float64 {
 // "t0001", ...), so tests and reports can reference generated tenants.
 func TenantName(i int) string { return fmt.Sprintf("t%04d", i) }
 
+// Uniform synthesizes the fixed-rate schedule: arrival i at i·(1s/rate),
+// the interval clamped to at least 1 ns, for ⌊horizon/interval⌋ arrivals,
+// all from the anonymous tenant "" with no deadline (fig12's lower row).
+func Uniform(rate float64, horizon simtime.Duration) []Event {
+	if rate <= 0 || horizon <= 0 {
+		return nil
+	}
+	interval := simtime.Duration(float64(simtime.Second) / rate)
+	if interval <= 0 {
+		interval = 1
+	}
+	events := make([]Event, int(float64(horizon)/float64(interval)))
+	for i := range events {
+		events[i].At = simtime.Time(simtime.Duration(i) * interval)
+	}
+	return events
+}
+
 // PoissonSpec parameterizes an open-loop Poisson arrival schedule.
 type PoissonSpec struct {
 	// Rate is the mean arrival rate in requests per virtual second.

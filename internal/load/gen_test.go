@@ -2,6 +2,7 @@ package load
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -143,6 +144,20 @@ func TestReadEventsRejects(t *testing.T) {
 	events, err := ReadEvents(strings.NewReader("\n{\"at_ns\":1,\"tenant\":\"a\"}\n\n"))
 	if err != nil || len(events) != 1 {
 		t.Fatalf("blank lines: events=%d err=%v", len(events), err)
+	}
+}
+
+// TestLoadTraceRejectsEmpty: a trace file with no arrivals (empty or only
+// blank lines) is an error, not a silent fall-back to the generator.
+func TestLoadTraceRejectsEmpty(t *testing.T) {
+	for name, body := range map[string]string{"empty": "", "blank lines": "\n\n"} {
+		path := filepath.Join(t.TempDir(), "trace.jsonl")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if events, err := LoadTrace(path); err == nil || !strings.Contains(err.Error(), "no arrivals") {
+			t.Errorf("%s trace: events=%d err=%v, want a no-arrivals error", name, len(events), err)
+		}
 	}
 }
 

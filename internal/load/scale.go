@@ -41,7 +41,9 @@ type SoakSpec struct {
 	// Poisson).
 	Gen BurstSpec
 	// Events, when non-nil, replays this exact schedule instead of
-	// generating from Gen (the -trace path).
+	// generating from Gen (the -trace path). The report then takes its
+	// horizon (last arrival + 1) and tenant count (distinct tenants) from
+	// the trace and reports seed 0; a curve cannot be combined with it.
 	Events []Event
 
 	// Plan is the fault plan (zero value: no faults).
@@ -144,7 +146,7 @@ func (spec SoakSpec) engine() (*platform.Engine, string, error) {
 		return nil, "", err
 	}
 	if cfg.Topo == nil {
-		return e, "", nil
+		name = ""
 	}
 	return e, name, nil
 }
@@ -158,24 +160,35 @@ func RunSoak(spec SoakSpec) (ScaleReport, error) {
 	if spec.Pods <= 0 {
 		spec.Pods = 16
 	}
-	events := spec.Events
-	if events == nil {
+	events, horizon, seed := spec.Events, spec.Gen.Horizon, spec.Gen.Seed
+	switch {
+	case events == nil:
 		events = Bursty(spec.Gen)
+	case len(spec.CurveMultipliers) > 0:
+		return ScaleReport{}, fmt.Errorf("load: a goodput curve regenerates its schedules from the generator settings; it cannot be combined with a replayed trace")
+	default:
+		// The trace is the whole schedule: its last arrival bounds the
+		// offered window, and no generator seed produced it.
+		horizon, seed = 0, 0
 	}
 	e, topology, err := spec.engine()
 	if err != nil {
 		return ScaleReport{}, err
 	}
 	defer e.Cluster.Close()
-	res := Replay(e, events, spec.Gen.Horizon)
+	res := Replay(e, events, horizon)
+	tenants := spec.Gen.Tenants
+	if spec.Events != nil {
+		tenants = len(res.ByTenant)
+	}
 	rep := ScaleReport{
 		Workflow: spec.Workflow,
 		Mode:     e.Mode().String(),
 		Topology: topology,
 		Machines: spec.Machines,
 		Pods:     spec.Pods,
-		Tenants:  spec.Gen.Tenants,
-		Seed:     spec.Gen.Seed,
+		Tenants:  tenants,
+		Seed:     seed,
 		HorizonS: res.Horizon.Seconds(),
 
 		Offered:      res.Offered,
@@ -246,10 +259,7 @@ func (r ScaleReport) WriteFile(path string) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return nil
+	return f.Close()
 }
 
 // Summary renders the headline numbers for terminal output.

@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rmmap/internal/admit"
@@ -67,7 +68,7 @@ func TestReplayConservation(t *testing.T) {
 func TestGoodputAtTwiceCapacity(t *testing.T) {
 	// Measure capacity closed-loop on a fresh engine (no admission), with
 	// concurrency matching the admission layer's inflight limit.
-	cap := testEngine(t, nil, 0).RunClosedLoop(admit.DefaultMaxInflight, 500*simtime.Millisecond).Throughput()
+	cap := Closed(testEngine(t, nil, 0), admit.DefaultMaxInflight, 500*simtime.Millisecond).Throughput()
 	if cap <= 0 {
 		t.Fatal("measured zero capacity")
 	}
@@ -197,5 +198,50 @@ func TestRunSoakReportDeterministic(t *testing.T) {
 	}
 	if rep.Summary() == "" {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestRunSoakTraceReportsTraceLoad: a soak replaying a trace reports the
+// trace's load — its arrivals, its window (last arrival + 1) and its
+// distinct tenants — not the generator settings left in Gen, and no seed.
+func TestRunSoakTraceReportsTraceLoad(t *testing.T) {
+	recorded := BurstSpec{BaseRate: 100, Horizon: 400 * simtime.Millisecond, Tenants: 5, Seed: 3}
+	events := Bursty(recorded)
+	tenants := map[string]bool{}
+	for _, ev := range events {
+		tenants[ev.Tenant] = true
+	}
+	rep, err := RunSoak(SoakSpec{
+		Workflow: "wordcount", Small: true, Mode: platform.ModeRMMAP,
+		// Stale generator settings: a different rate, window, tenant
+		// count and seed than the trace was recorded with.
+		Gen:    BurstSpec{BaseRate: 200, Horizon: 2 * simtime.Second, Tenants: 1000, Seed: 1},
+		Events: events,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := simtime.Duration(events[len(events)-1].At) + 1
+	if rep.Offered != len(events) || rep.HorizonS != window.Seconds() ||
+		rep.Tenants != len(tenants) || rep.Seed != 0 {
+		t.Fatalf("trace soak reported offered=%d horizon=%gs tenants=%d seed=%d, want %d, %gs, %d, 0",
+			rep.Offered, rep.HorizonS, rep.Tenants, rep.Seed, len(events), window.Seconds(), len(tenants))
+	}
+	if want := float64(len(events)) / window.Seconds(); rep.OfferedRPS != want {
+		t.Fatalf("offered %.1f req/s, want the trace's %.1f", rep.OfferedRPS, want)
+	}
+}
+
+// TestRunSoakRejectsCurveWithTrace: the goodput curve regenerates its
+// schedule from Gen, so asking for one while replaying a trace would
+// measure a load the trace never described.
+func TestRunSoakRejectsCurveWithTrace(t *testing.T) {
+	_, err := RunSoak(SoakSpec{
+		Workflow: "wordcount", Small: true, Mode: platform.ModeRMMAP,
+		Events:           []Event{{At: 0, Tenant: "t0000"}},
+		CurveMultipliers: []float64{1, 2},
+	})
+	if err == nil || !strings.Contains(err.Error(), "trace") {
+		t.Fatalf("curve with a trace: err=%v, want a rejection", err)
 	}
 }

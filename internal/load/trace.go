@@ -83,7 +83,8 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 	return events, nil
 }
 
-// LoadTrace reads a JSONL trace file.
+// LoadTrace reads a JSONL trace file. A trace with no arrivals is an
+// error: replaying it would measure nothing.
 func LoadTrace(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -93,6 +94,9 @@ func LoadTrace(path string) ([]Event, error) {
 	events, err := ReadEvents(f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(events) == 0 {
+		return nil, fmt.Errorf("%s: trace has no arrivals", path)
 	}
 	return events, nil
 }

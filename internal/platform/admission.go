@@ -32,9 +32,12 @@ type pendingSubmit struct {
 	done      func(RunResult)
 }
 
-// SubmitTenant enqueues one workflow request through the overload layer.
-// Without Options.Admission it behaves exactly like Submit, but still
-// applies the tenant label and deadline.
+// SubmitTenant enqueues one workflow request at the current virtual time;
+// done fires at completion. It is the engine's one asynchronous entry
+// point (Run is the synchronous single-request form; internal/load drives
+// many). With Options.Admission set the request passes the overload layer
+// first; without it the request starts at once, still carrying the tenant
+// label and deadline. SubmitInfo{} is the anonymous tenant, no deadline.
 func (e *Engine) SubmitTenant(info SubmitInfo, done func(RunResult)) {
 	now := e.Cluster.Sim.Now()
 	rel := info.Deadline

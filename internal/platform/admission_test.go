@@ -270,7 +270,7 @@ func TestPartitionParkFastFail(t *testing.T) {
 			probes(cluster)
 		}
 		var res RunResult
-		e.Submit(func(r RunResult) { res = r })
+		e.SubmitTenant(SubmitInfo{}, func(r RunResult) { res = r })
 		cluster.Sim.Run()
 		return res, cluster
 	}

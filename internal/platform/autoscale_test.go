@@ -42,7 +42,7 @@ func TestAutoscalerKeepsWarmUnderLoad(t *testing.T) {
 	// while the window has not passed (checked mid-run; the drain at the
 	// very end legitimately reclaims the then-idle pods).
 	for i := 0; i < 3; i++ {
-		e.Submit(nil)
+		e.SubmitTenant(SubmitInfo{}, nil)
 	}
 	e.Cluster.Sim.At(simtime.Time(5*simtime.Second), func() {
 		if e.ScaleDowns() != 0 {
@@ -64,7 +64,7 @@ func TestAutoscalerColdReuseStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var outputs []any
-	e.Submit(func(r RunResult) {
+	e.SubmitTenant(SubmitInfo{}, func(r RunResult) {
 		if r.Err != nil {
 			t.Errorf("first request: %v", r.Err)
 		}
@@ -74,7 +74,7 @@ func TestAutoscalerColdReuseStillCorrect(t *testing.T) {
 	if e.ScaleDowns() == 0 {
 		t.Fatal("precondition: no scale-down happened")
 	}
-	e.Submit(func(r RunResult) {
+	e.SubmitTenant(SubmitInfo{}, func(r RunResult) {
 		if r.Err != nil {
 			t.Errorf("post-scale-down request: %v", r.Err)
 		}

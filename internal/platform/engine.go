@@ -446,14 +446,6 @@ func (e *Engine) BusyPods() int {
 // QueueLen reports invocations waiting for a pod.
 func (e *Engine) QueueLen() int { return len(e.queue) }
 
-// Submit enqueues one workflow request at the current virtual time; done
-// fires at completion. Use Run for the common single-request case. With
-// Options.Admission set the request passes the overload layer first (as
-// the anonymous tenant ""); SubmitTenant carries tenant and deadline.
-func (e *Engine) Submit(done func(RunResult)) {
-	e.SubmitTenant(SubmitInfo{}, done)
-}
-
 // startRequest begins executing one admitted workflow request. It must run
 // on the simulator thread.
 func (e *Engine) startRequest(tenant string, deadline simtime.Time, done func(RunResult)) {
@@ -631,7 +623,7 @@ func (e *Engine) collect(r *request) RunResult {
 func (e *Engine) Run() (RunResult, error) {
 	var out RunResult
 	got := false
-	e.Submit(func(r RunResult) { out = r; got = true })
+	e.SubmitTenant(SubmitInfo{}, func(r RunResult) { out = r; got = true })
 	e.Cluster.Sim.Run()
 	if !got {
 		return out, fmt.Errorf("platform: request did not complete (deadlock?)")

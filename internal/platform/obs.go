@@ -151,13 +151,3 @@ func BuildProfile(workflow string, spans []Span) obs.Profile {
 	}
 	return b.Entries()
 }
-
-// LatencyHistogram folds a load run's latencies into the standard
-// exponential buckets — the openloop percentile view (fig12's CDF).
-func (r LoadResult) LatencyHistogram() *obs.Histogram {
-	h := obs.NewHistogram(obs.LatencyBucketsNs())
-	for _, l := range r.Latencies {
-		h.Observe(float64(l))
-	}
-	return h
-}
